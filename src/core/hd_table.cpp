@@ -47,19 +47,6 @@ hd_table::hd_table(const hd_table& other)
       // snapshot state: membership maintenance must write its cache.
       frozen_(false) {}
 
-hd_table& hd_table::operator=(const hd_table& other) {
-  hash_ = other.hash_;
-  config_ = other.config_;
-  arena_ = other.arena_;
-  encoder_ = other.encoder_;
-  memory_ = other.memory_;
-  members_ = other.members_;
-  row_owner_ = other.row_owner_;
-  cache_ = other.cache_;
-  frozen_ = false;  // same contract as the copy constructor
-  return *this;
-}
-
 void hd_table::join(server_id server, double weight) {
   HDHASH_REQUIRE(weight > 0.0, "weight must be positive");
   HDHASH_REQUIRE(!members_.contains(server), "server already in the pool");

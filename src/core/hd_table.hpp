@@ -132,7 +132,7 @@ class hd_table final : public dynamic_table {
   /// Copy shares the circle basis and item-memory rows copy-on-write;
   /// the copy is never frozen (see freeze()).
   hd_table(const hd_table& other);
-  hd_table& operator=(const hd_table& other);
+  hd_table& operator=(const hd_table&) = delete;
 
   /// Fault surface: the stored server hypervectors — the (in hardware:
   /// SRAM) rows of the associative memory.  The circle set C is not

@@ -8,57 +8,79 @@ hierarchical_hd_table::hierarchical_hd_table(const hash64& hash,
                                              hierarchical_config config)
     : hash_(&hash),
       config_(config),
-      router_(hash,
-              [&config] {
-                hd_table_config r = config.router;
-                // The router only ever holds `groups` keys.
-                if (r.capacity <= config.groups) {
-                  r.capacity = 2 * config.groups;
-                }
-                return r;
-              }()) {
+      published_(config.groups + 1),
+      inherited_(config.groups + 1) {
   HDHASH_REQUIRE(config.groups >= 2, "hierarchy needs at least two groups");
-  shards_.reserve(config_.groups);
+  hd_table_config router = config_.router;
+  // The router only ever holds `groups` keys.
+  if (router.capacity <= config_.groups) {
+    router.capacity = 2 * config_.groups;
+  }
+  tables_.reserve(config_.groups + 1);
+  tables_.push_back(std::make_shared<hd_table>(hash, router));
   for (std::size_t g = 0; g < config_.groups; ++g) {
     hd_table_config shard = config_.shard;
     // Decorrelate shard circles from each other and from the router.
     shard.seed = config_.shard.seed + 0x9e37 * (g + 1);
-    shards_.emplace_back(hash, shard);
+    tables_.push_back(std::make_shared<hd_table>(hash, shard));
   }
 }
 
-hierarchical_hd_table::hierarchical_hd_table(const hierarchical_hd_table&) =
-    default;
+hierarchical_hd_table::hierarchical_hd_table(const hierarchical_hd_table& other)
+    : hash_(other.hash_),
+      config_(other.config_),
+      published_(other.tables_.size()),
+      inherited_(other.tables_.size()),
+      server_count_(other.server_count_) {
+  tables_.reserve(other.tables_.size());
+  for (const table_ptr& table : other.tables_) {
+    tables_.push_back(std::make_shared<hd_table>(*table));
+  }
+}
+
+hierarchical_hd_table::hierarchical_hd_table(
+    const hierarchical_hd_table& source, std::vector<table_ptr> frozen,
+    std::vector<bool> inherited)
+    : hash_(source.hash_),
+      config_(source.config_),
+      tables_(std::move(frozen)),
+      published_(tables_),
+      inherited_(std::move(inherited)),
+      server_count_(source.server_count_) {}
 
 std::size_t hierarchical_hd_table::shard_of(server_id server) const {
   return static_cast<std::size_t>(hash_->hash_u64(server, 0xC1A55) %
-                                  shards_.size());
+                                  groups());
 }
 
 void hierarchical_hd_table::join(server_id server, double weight) {
   HDHASH_REQUIRE(!contains(server), "server already in the pool");
-  const std::size_t shard = shard_of(server);
-  shards_[shard].join(server, weight);
-  if (shards_[shard].server_count() == 1) {
-    router_.join(static_cast<server_id>(shard));  // shard became routable
+  const std::size_t g = shard_of(server);
+  tables_[g + 1]->join(server, weight);
+  published_[g + 1].reset();
+  if (shard(g).server_count() == 1) {
+    tables_[0]->join(static_cast<server_id>(g));  // shard became routable
+    published_[0].reset();
   }
   ++server_count_;
 }
 
 void hierarchical_hd_table::leave(server_id server) {
   HDHASH_REQUIRE(contains(server), "server not in the pool");
-  const std::size_t shard = shard_of(server);
-  shards_[shard].leave(server);
-  if (shards_[shard].server_count() == 0) {
-    router_.leave(static_cast<server_id>(shard));  // shard went dark
+  const std::size_t g = shard_of(server);
+  tables_[g + 1]->leave(server);
+  published_[g + 1].reset();
+  if (shard(g).server_count() == 0) {
+    tables_[0]->leave(static_cast<server_id>(g));  // shard went dark
+    published_[0].reset();
   }
   --server_count_;
 }
 
 server_id hierarchical_hd_table::lookup(request_id request) const {
   HDHASH_REQUIRE(server_count_ > 0, "lookup on an empty pool");
-  const auto shard = static_cast<std::size_t>(router_.lookup(request));
-  return shards_[shard].lookup(request);
+  return shard(static_cast<std::size_t>(router().lookup(request)))
+      .lookup(request);
 }
 
 void hierarchical_hd_table::lookup_batch(std::span<const request_id> requests,
@@ -71,18 +93,18 @@ void hierarchical_hd_table::lookup_batch(std::span<const request_id> requests,
   HDHASH_REQUIRE(server_count_ > 0, "lookup on an empty pool");
   // One batched router query assigns every request its shard.
   std::vector<server_id> shard_ids(requests.size());
-  router_.lookup_batch(requests, shard_ids);
+  router().lookup_batch(requests, shard_ids);
 
   // Counting-sort scatter: one flat permutation buffer instead of a
   // vector-of-vectors, so the scatter makes no per-shard allocations and
   // every shard's sub-block reaches that shard's probe-tiled sweep —
   // and through it the dispatched SIMD Hamming kernel — as a single
   // contiguous batch.
-  std::vector<std::size_t> offsets(shards_.size() + 1, 0);
+  std::vector<std::size_t> offsets(groups() + 1, 0);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     ++offsets[static_cast<std::size_t>(shard_ids[i]) + 1];
   }
-  for (std::size_t g = 0; g < shards_.size(); ++g) {
+  for (std::size_t g = 0; g < groups(); ++g) {
     offsets[g + 1] += offsets[g];
   }
   std::vector<std::size_t> order(requests.size());
@@ -93,7 +115,7 @@ void hierarchical_hd_table::lookup_batch(std::span<const request_id> requests,
 
   std::vector<request_id> block;
   std::vector<server_id> answers;
-  for (std::size_t g = 0; g < shards_.size(); ++g) {
+  for (std::size_t g = 0; g < groups(); ++g) {
     const std::size_t begin = offsets[g];
     const std::size_t end = offsets[g + 1];
     if (begin == end) {
@@ -104,7 +126,7 @@ void hierarchical_hd_table::lookup_batch(std::span<const request_id> requests,
     for (std::size_t j = begin; j < end; ++j) {
       block[j - begin] = requests[order[j]];
     }
-    shards_[g].lookup_batch(block, answers);
+    shard(g).lookup_batch(block, answers);
     for (std::size_t j = begin; j < end; ++j) {
       out[order[j]] = answers[j - begin];
     }
@@ -113,18 +135,25 @@ void hierarchical_hd_table::lookup_batch(std::span<const request_id> requests,
 
 double hierarchical_hd_table::weight(server_id server) const {
   HDHASH_REQUIRE(contains(server), "server not in the pool");
-  return shards_[shard_of(server)].weight(server);
+  return shard(shard_of(server)).weight(server);
 }
 
 table_stats hierarchical_hd_table::stats() const {
-  table_stats s = router_.stats();
+  table_stats s = router().stats();
+  if (inherited_[0]) {
+    s.shared_bytes = s.memory_bytes;
+  }
+  // The shell itself: its table pointers.
+  s.memory_bytes += (tables_.capacity() + published_.capacity()) *
+                    sizeof(table_ptr);
   double occupied = 0.0;
   double shard_cost = 0.0;
-  for (const hd_table& shard : shards_) {
-    const table_stats shard_stats = shard.stats();
+  for (std::size_t g = 0; g < groups(); ++g) {
+    const table_stats shard_stats = shard(g).stats();
     s.memory_bytes += shard_stats.memory_bytes;
-    s.shared_bytes += shard_stats.shared_bytes;
-    if (shard.server_count() > 0) {
+    s.shared_bytes += inherited_[g + 1] ? shard_stats.memory_bytes
+                                        : shard_stats.shared_bytes;
+    if (shard(g).server_count() > 0) {
       occupied += 1.0;
       shard_cost += shard_stats.expected_lookup_cost;
     }
@@ -138,14 +167,14 @@ table_stats hierarchical_hd_table::stats() const {
 }
 
 bool hierarchical_hd_table::contains(server_id server) const {
-  return shards_[shard_of(server)].contains(server);
+  return shard(shard_of(server)).contains(server);
 }
 
 std::vector<server_id> hierarchical_hd_table::servers() const {
   std::vector<server_id> result;
   result.reserve(server_count_);
-  for (const hd_table& shard : shards_) {
-    for (const server_id s : shard.servers()) {
+  for (std::size_t g = 0; g < groups(); ++g) {
+    for (const server_id s : shard(g).servers()) {
       result.push_back(s);
     }
   }
@@ -157,27 +186,29 @@ std::unique_ptr<dynamic_table> hierarchical_hd_table::clone() const {
 }
 
 std::shared_ptr<const dynamic_table> hierarchical_hd_table::snapshot() const {
-  // Warm the originals first so consecutive snapshots only re-decode
-  // slots the intervening membership events invalidated, then freeze
-  // the copy's inner tables so shard workers can query it concurrently.
-  router_.warm_slot_cache();
-  for (const hd_table& shard : shards_) {
-    shard.warm_slot_cache();
+  std::vector<bool> inherited(tables_.size());
+  for (std::size_t i = 0; i < tables_.size(); ++i) {
+    inherited[i] = published_[i] != nullptr;
+    if (!inherited[i]) {
+      // Warm the live table first so its next re-freeze only re-decodes
+      // the slots later events invalidate, then freeze the copy so shard
+      // workers can query it concurrently.
+      tables_[i]->warm_slot_cache();
+      published_[i] = std::make_shared<hd_table>(*tables_[i]);
+      published_[i]->freeze();
+    }
   }
-  std::shared_ptr<hierarchical_hd_table> copy(
-      new hierarchical_hd_table(*this));
-  copy->router_.freeze();
-  for (hd_table& shard : copy->shards_) {
-    shard.freeze();
-  }
-  return copy;
+  return std::shared_ptr<const dynamic_table>(
+      new hierarchical_hd_table(*this, published_, std::move(inherited)));
 }
 
 std::vector<memory_region> hierarchical_hd_table::fault_regions() {
-  std::vector<memory_region> regions = router_.fault_regions();
-  for (hd_table& shard : shards_) {
-    const auto shard_regions = shard.fault_regions();
-    regions.insert(regions.end(), shard_regions.begin(), shard_regions.end());
+  // The regions may be written, so no published copy stays current.
+  published_.assign(tables_.size(), nullptr);
+  std::vector<memory_region> regions;
+  for (const table_ptr& table : tables_) {
+    const auto table_regions = table->fault_regions();
+    regions.insert(regions.end(), table_regions.begin(), table_regions.end());
   }
   return regions;
 }

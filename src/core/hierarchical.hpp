@@ -16,6 +16,11 @@
 /// a shard becomes empty/non-empty (its slice of request space moves
 /// wholesale between shards — the classic hierarchical trade-off, which
 /// the tests quantify).
+///
+/// Publishing follows the same locality: the router and every shard sit
+/// behind shared pointers, so an epoch snapshot re-freezes only the
+/// tables a membership event touched and shares the rest with the
+/// previous epoch.
 #pragma once
 
 #include <memory>
@@ -51,34 +56,61 @@ class hierarchical_hd_table final : public dynamic_table {
   using dynamic_table::lookup_batch;
 
   double weight(server_id server) const override;
+
+  /// Sums the router and shards plus the shell's table pointers.  In a
+  /// snapshot, a table inherited from an earlier publication counts as
+  /// shared whole, so memory_bytes - shared_bytes is what the epoch
+  /// added: the tables it re-froze and its shell.
   table_stats stats() const override;
   bool contains(server_id server) const override;
   std::size_t server_count() const override { return server_count_; }
   std::vector<server_id> servers() const override;
   std::string_view name() const noexcept override { return "hd-hierarchical"; }
+
+  /// Deep copy: fresh, unfrozen router and shards (rows still shared
+  /// copy-on-write), nothing published yet.
   std::unique_ptr<dynamic_table> clone() const override;
 
-  /// Epoch snapshot: warms the router's and every group's slot cache
-  /// (when enabled), then shares a frozen copy-on-write copy — all
-  /// circle bases and item-memory rows are shared with *this (see
-  /// hd_table::snapshot()).
+  /// Epoch snapshot in O(changed groups).  Each table keeps the frozen
+  /// copy it was last published as; join/leave drop the copy of the
+  /// shard they touch (and the router's when a shard fills or empties)
+  /// and fault_regions() drops them all.  A snapshot warms and re-freezes
+  /// only the dropped tables (see hd_table::snapshot()) and returns a
+  /// shell sharing every other one with earlier epochs.
   std::shared_ptr<const dynamic_table> snapshot() const override;
 
   /// Fault surface: the router's rows plus every shard's rows.
   std::vector<memory_region> fault_regions() override;
 
-  std::size_t groups() const noexcept { return shards_.size(); }
+  std::size_t groups() const noexcept { return tables_.size() - 1; }
 
   /// Shard a server id belongs to.
   std::size_t shard_of(server_id server) const;
 
  private:
+  using table_ptr = std::shared_ptr<hd_table>;
+
   hierarchical_hd_table(const hierarchical_hd_table& other);
+
+  /// Snapshot shell over frozen tables (see snapshot()).
+  hierarchical_hd_table(const hierarchical_hd_table& source,
+                        std::vector<table_ptr> frozen,
+                        std::vector<bool> inherited);
+
+  const hd_table& router() const { return *tables_[0]; }
+  const hd_table& shard(std::size_t g) const { return *tables_[g + 1]; }
 
   const hash64* hash_;
   hierarchical_config config_;
-  hd_table router_;                       // keys are shard indices
-  std::vector<hd_table> shards_;          // one hd_table per group
+  // [0] is the router (keys are shard indices), [g + 1] shard g.
+  std::vector<table_ptr> tables_;
+  // The frozen copy each table was last published as, null once an
+  // event touched it.  A shell's tables are their own publication.
+  // Written by the const snapshot(), which only the producer calls.
+  mutable std::vector<table_ptr> published_;
+  // The tables a shell shares with an earlier publication (all false
+  // on a producer table); stats() counts them as shared.
+  std::vector<bool> inherited_;
   std::size_t server_count_ = 0;
 };
 

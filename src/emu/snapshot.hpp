@@ -13,7 +13,8 @@
 /// under, so
 ///  * churn costs O(1) applications per event regardless of shard count,
 ///  * table memory is ~one replica plus copy-on-write bookkeeping
-///    (hd shares the circle basis and item-memory rows; see
+///    (hd shares the circle basis and item-memory rows, and
+///    hd-hierarchical every group the epoch's events did not touch; see
 ///    dynamic_table::snapshot()), and
 ///  * the merged load histogram stays bit-identical to a single-table
 ///    reference run, because every request still sees exactly the
@@ -56,8 +57,10 @@ class table_snapshot {
   const dynamic_table& table() const noexcept { return *table_; }
 
   /// Bytes this snapshot keeps resident *beyond* state shared with the
-  /// producer table and sibling epochs (copy-on-write bookkeeping:
-  /// member maps, resolved slot cache — not hypervectors).
+  /// producer table and sibling epochs: the resolved slot caches of the
+  /// tables it copied, not hypervectors.  For hd that is the whole
+  /// table; for hd-hierarchical only the groups its epoch's events
+  /// touched, plus the shell pointing at the shared ones.
   std::size_t marginal_bytes() const;
 
  private:

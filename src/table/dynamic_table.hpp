@@ -173,9 +173,11 @@ class dynamic_table : public fault_surface {
   ///
   /// The default implementation deep-copies via clone(); implementations
   /// with large immutable state override it to share that state
-  /// copy-on-write (hd shares the circle basis and the item-memory rows,
-  /// so a snapshot's marginal footprint is bookkeeping, not
-  /// hypervectors).
+  /// copy-on-write.  hd shares the circle basis and the item-memory
+  /// rows, so a snapshot copies only its bookkeeping (member maps and
+  /// slot array), not hypervectors; hd-hierarchical also shares with
+  /// the previous epoch every group no membership event touched, so it
+  /// copies only the touched groups' bookkeeping.
   /// \post the returned table maps every request exactly as *this does
   /// at the time of the call, concurrent lookup()/lookup_batch() calls
   /// on it from multiple threads are safe (it is never mutated), and

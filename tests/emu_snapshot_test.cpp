@@ -1,17 +1,21 @@
 /// Epoch-published table snapshots (emu/snapshot.hpp) and the sharded
 /// emulator's snapshot membership mode: copy-on-write immutability,
-/// incremental slot-cache maintenance versus cold decoding, publisher
-/// epoch accounting, determinism of heavy churn interleaved with
-/// lookups across 1/2/4/8 shards, and the ~one-replica memory claim.
+/// hd-hierarchical's delta publishing (an epoch re-freezes only the
+/// groups an event touched), incremental slot-cache maintenance versus
+/// cold decoding, publisher epoch accounting, determinism of heavy churn
+/// interleaved with lookups across 1/2/4/8 shards, and the ~one-replica
+/// memory claim.
 /// These tests exercise real worker threads sharing one snapshot and
 /// are a primary TSan target (-DHDHASH_SANITIZE=thread) alongside
 /// emu_sharded_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "core/hd_table.hpp"
+#include "core/hierarchical.hpp"
 #include "emu/emulator.hpp"
 #include "emu/generator.hpp"
 #include "emu/sharded_emulator.hpp"
@@ -30,6 +34,25 @@ table_options fast_options() {
   options.hd.dimension = 1024;
   options.hd.capacity = 128;
   return options;
+}
+
+/// Four small groups; the slot cache, when on, is the per-group
+/// bookkeeping a snapshot would otherwise copy for every group.
+hierarchical_config small_hierarchy(bool slot_cache) {
+  hierarchical_config config;
+  config.groups = 4;
+  config.shard.dimension = 1024;
+  config.shard.capacity = 64;
+  config.shard.slot_cache = slot_cache;
+  config.router = config.shard;
+  config.router.capacity = 16;
+  return config;
+}
+
+/// Bytes a table keeps resident beyond what it shares with other owners.
+std::size_t marginal(const dynamic_table& table) {
+  const table_stats stats = table.stats();
+  return stats.memory_bytes - stats.shared_bytes;
 }
 
 workload_config heavy_churn_workload() {
@@ -110,6 +133,93 @@ TEST(TableSnapshotTest, FaultInjectionNeverReachesASnapshot) {
   EXPECT_GT(diffs, 0u);
 }
 
+TEST(TableSnapshotTest, HierarchicalFaultsReachTheNextSnapshotOnly) {
+  // hd-hierarchical keeps each group's last published frozen copy and
+  // fault_regions() must drop them all: corruption after a publication
+  // never changes that epoch, and it does show in the next one — reusing
+  // a stale cached group would hide the faults from a shadow oracle.
+  for (const bool slot_cache : {false, true}) {
+    hierarchical_hd_table table(hash_by_name("xxhash64"),
+                                small_hierarchy(slot_cache));
+    for (server_id s = 1; s <= 24; ++s) {
+      table.join(s * 777);
+    }
+    const auto s1 = table.snapshot();
+    std::vector<server_id> before(300);
+    for (request_id r = 0; r < 300; ++r) {
+      before[r] = s1->lookup(r);
+    }
+    for (memory_region& region : table.fault_regions()) {
+      for (std::byte& b : region.bytes) {
+        b = std::byte{0};
+      }
+    }
+    const auto s2 = table.snapshot();
+    std::size_t diffs = 0;
+    for (request_id r = 0; r < 300; ++r) {
+      EXPECT_EQ(s1->lookup(r), before[r])
+          << "slot_cache=" << slot_cache << " request " << r;
+      EXPECT_EQ(s2->lookup(r), table.lookup(r))
+          << "slot_cache=" << slot_cache << " request " << r;
+      diffs += s2->lookup(r) != before[r] ? 1 : 0;
+    }
+    EXPECT_GT(diffs, 0u) << "slot_cache=" << slot_cache;
+  }
+}
+
+TEST(TableSnapshotTest, HierarchicalSnapshotReFreezesOnlyTheTouchedGroup) {
+  // Delta publishing: a join touches one group, so the next epoch
+  // re-freezes that group alone and shares every other table with the
+  // previous epoch.  A regression to full copies fails the upper bound.
+  const hierarchical_config config = small_hierarchy(true);
+  hierarchical_hd_table table(hash_by_name("xxhash64"), config);
+  std::vector<server_id> members;
+  for (server_id s = 1; s <= 24; ++s) {
+    table.join(s * 101);
+    members.push_back(s * 101);
+  }
+  // One group's bookkeeping: a lone table of the shard shape shares its
+  // rows with its snapshot, leaving the resolved slot array.
+  hd_table lone(hash_by_name("xxhash64"), config.shard);
+  lone.join(1);
+  const std::size_t group_bytes = marginal(*lone.snapshot());
+  ASSERT_GT(group_bytes, 0u);
+
+  const auto s1 = table.snapshot();
+  // The first publication freezes every table.
+  EXPECT_GE(marginal(*s1), config.groups * group_bytes);
+  // An epoch no event touched re-freezes nothing: it is just the shell.
+  const std::size_t shell = marginal(*table.snapshot());
+  EXPECT_LT(shell, group_bytes);
+
+  std::vector<server_id> before(600);
+  for (request_id r = 0; r < 600; ++r) {
+    before[r] = s1->lookup(r);
+  }
+  // Join into a group that is already routable, so the router is shared.
+  server_id joiner = 10'000;
+  while (std::none_of(members.begin(), members.end(), [&](server_id m) {
+    return table.shard_of(m) == table.shard_of(joiner);
+  })) {
+    ++joiner;
+  }
+  table.join(joiner);
+  const auto s2 = table.snapshot();
+  EXPECT_GE(marginal(*s2), group_bytes);
+  EXPECT_LE(marginal(*s2), group_bytes + shell);
+
+  // S1 still answers with the membership it captured, S2 with the new.
+  EXPECT_FALSE(s1->contains(joiner));
+  EXPECT_TRUE(s2->contains(joiner));
+  std::size_t moved = 0;
+  for (request_id r = 0; r < 600; ++r) {
+    EXPECT_EQ(s1->lookup(r), before[r]) << "request " << r;
+    EXPECT_EQ(s2->lookup(r), table.lookup(r)) << "request " << r;
+    moved += s2->lookup(r) != before[r] ? 1 : 0;
+  }
+  EXPECT_GT(moved, 0u);
+}
+
 TEST(TableSnapshotTest, SharedBytesAccountTheCowRows) {
   hd_table_config config;
   config.dimension = 1024;
@@ -133,29 +243,36 @@ TEST(TableSnapshotTest, CloneOfASnapshotIsIndependentlyMutable) {
   // clone() promises an independently mutable copy with identical
   // mapping; a clone taken *from a frozen snapshot* must therefore
   // thaw — its memoized slot cache has to track its own membership
-  // changes, not stay pinned to the snapshot's epoch.
-  hd_table_config config;
-  config.dimension = 1024;
-  config.capacity = 128;
-  config.slot_cache = true;
-  hd_table table(hash_by_name("xxhash64"), config);
-  for (server_id s = 1; s <= 10; ++s) {
-    table.join(s * 11);
-  }
-  const auto snap = table.snapshot();
-  const auto thawed = snap->clone();
-  thawed->leave(11);
-  thawed->join(4242);
-  hd_table_config plain_config = config;
-  plain_config.slot_cache = false;
-  hd_table twin(hash_by_name("xxhash64"), plain_config);
-  for (server_id s = 2; s <= 10; ++s) {
-    twin.join(s * 11);
-  }
-  twin.join(4242);
-  for (request_id r = 0; r < 500; ++r) {
-    ASSERT_EQ(thawed->lookup(r), twin.lookup(r)) << "request " << r;
-    ASSERT_NE(thawed->lookup(r), 11u);
+  // changes, not stay pinned to the snapshot's epoch — and an
+  // hd-hierarchical clone must own its groups, not write through the
+  // frozen ones the snapshot shares with other epochs.
+  for (const auto algorithm : {"hd", "hd-hierarchical"}) {
+    table_options cached_options = fast_options();
+    cached_options.hd.slot_cache = true;
+    auto table = make_table(algorithm, cached_options);
+    for (server_id s = 1; s <= 10; ++s) {
+      table->join(s * 11);
+    }
+    const auto snap = table->snapshot();
+    std::vector<server_id> published(500);
+    for (request_id r = 0; r < 500; ++r) {
+      published[r] = snap->lookup(r);
+    }
+    const auto thawed = snap->clone();
+    thawed->leave(11);
+    thawed->join(4242);
+    auto twin = make_table(algorithm, fast_options());  // slot cache off
+    for (server_id s = 2; s <= 10; ++s) {
+      twin->join(s * 11);
+    }
+    twin->join(4242);
+    for (request_id r = 0; r < 500; ++r) {
+      ASSERT_EQ(thawed->lookup(r), twin->lookup(r))
+          << algorithm << " request " << r;
+      ASSERT_NE(thawed->lookup(r), 11u) << algorithm;
+      ASSERT_EQ(snap->lookup(r), published[r])
+          << algorithm << " request " << r;
+    }
   }
 }
 
