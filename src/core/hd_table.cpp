@@ -221,8 +221,15 @@ void hd_table::decode_slots(std::span<const std::size_t> slots,
     std::uint64_t hi = 0;  ///< smallest distance that loses
     bool valid = false;
   };
+  // Partial-distance search (Bei & Gray 1985): the distance over a row's
+  // first `prefix` words is a lower bound on the full one, so a row
+  // whose prefix already reaches every probe's `hi` loses outright and
+  // its remaining words are never scored.
+  const std::size_t prefix = std::min(words, kDecodePrefixWords);
   std::array<const std::uint64_t*, kTile> probes{};
+  std::array<const std::uint64_t*, kTile> probe_rest{};
   std::array<std::uint64_t, kTile> dist{};
+  std::array<std::uint64_t, kTile> dist_rest{};
   std::array<best_state, kTile> best{};
   for (std::size_t base = 0; base < slots.size(); base += kTile) {
     const std::size_t tile = std::min(kTile, slots.size() - base);
@@ -230,11 +237,26 @@ void hd_table::decode_slots(std::span<const std::size_t> slots,
       // Padding the tail tile with its first probe keeps the kernel on
       // its full-tile fast path (fixed trip count, unrolled).
       probes[t] = encoder_.at(slots[base + (t < tile ? t : 0)]).words().data();
+      probe_rest[t] = probes[t] + prefix;
     }
     best.fill(best_state{});
     for (const row_ref& row : rows) {
-      kernel.tile_distance(row.words, probes.data(), kTile, words,
+      kernel.tile_distance(row.words, probes.data(), kTile, prefix,
                            dist.data());
+      if (prefix < words) {
+        bool open = false;
+        for (std::size_t t = 0; t < tile; ++t) {
+          open = open || !best[t].valid || dist[t] < best[t].hi;
+        }
+        if (!open) {
+          continue;  // the prefix alone already loses for every probe
+        }
+        kernel.tile_distance(row.words + prefix, probe_rest.data(), kTile,
+                             words - prefix, dist_rest.data());
+        for (std::size_t t = 0; t < kTile; ++t) {
+          dist[t] += dist_rest[t];
+        }
+      }
       for (std::size_t t = 0; t < tile; ++t) {
         best_state& b = best[t];
         const std::uint64_t d = dist[t];
@@ -330,6 +352,10 @@ void hd_table::lookup_batch(std::span<const request_id> requests,
     }
   }
 
+  // Neighbouring circle slots have nearby probes and share their nearest
+  // rows, so sorting gives each tile one short arc: its winners' bands
+  // tighten on the same few rows and the prefix bound drops the rest.
+  std::sort(pending.begin(), pending.end());
   std::vector<server_id> winners(pending.size());
   std::vector<cached_slot> detail(pending.size());
   decode_slots(pending, winners, detail.data());

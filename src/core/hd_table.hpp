@@ -15,7 +15,8 @@
 ///    distinct outputs, so a request block first collapses to its unique
 ///    circle slots, then the item memory is swept once with each stored
 ///    row compared word-wise against a tile of probes (the software
-///    analogue of an accelerator answering several queries per pass).
+///    analogue of an accelerator answering several queries per pass);
+///    a row's tail words are skipped once its prefix already loses.
 ///  * weighted join — a member of weight w stores round(w) rows
 ///    (replicated circle slots), so it wins a proportional share of the
 ///    request space.  Weight 1 is bit-identical to the unweighted v1
@@ -97,12 +98,20 @@ class hd_table final : public dynamic_table {
   void leave(server_id server) override;
   server_id lookup(request_id request) const override;
 
-  /// Batch associative query: slot-dedupes the block, then sweeps the
-  /// item memory once per probe tile with word-level reuse of each
-  /// stored row.  Assignments are identical to element-wise lookup().
+  /// Batch associative query: slot-dedupes the block, sorts the slots
+  /// left to decode, then sweeps the item memory once per probe tile
+  /// with word-level reuse of each stored row (see decode_slots()).
+  /// Sorting makes each tile one short arc of the circle, so its probes
+  /// share the same few nearby rows and the prefix bound drops the rest
+  /// early.  Assignments are identical to element-wise lookup().
   void lookup_batch(std::span<const request_id> requests,
                     std::span<server_id> out) const override;
   using dynamic_table::lookup_batch;
+
+  /// Words of each row the batch sweep scores before deciding whether
+  /// the rest of the row is needed (the partial-distance prefix of
+  /// decode_slots(); 24 words = 1,536 bits).
+  static constexpr std::size_t kDecodePrefixWords = 24;
 
   double weight(server_id server) const override;
   table_stats stats() const override;
@@ -177,6 +186,9 @@ class hd_table final : public dynamic_table {
   /// rule.  Winners are row keys; owner_of() maps them back to servers.
   /// When non-null, `winner_distance` receives the winning row's exact
   /// Hamming distance to the probe (the cache maintenance currency).
+  /// Scores every word of every row, unpruned: the single-probe path
+  /// behind lookup() and lookup_detailed(), and the reference the batch
+  /// path is tested against.
   hdc::query_result decode(const hdc::hypervector& probe,
                            std::uint64_t* winner_distance = nullptr) const;
 
@@ -186,6 +198,17 @@ class hd_table final : public dynamic_table {
   /// win/tie rule runs on integer distance bands, bit-identical across
   /// kernels and to the scalar decode().  When non-null, `detail[i]`
   /// receives the winning row key and distance for slots[i].
+  ///
+  /// Partial-distance search (Bei & Gray 1985): each row is first
+  /// scored over its kDecodePrefixWords-word prefix, and over the
+  /// remaining words only if some probe of the tile has no winner yet
+  /// or a prefix distance below its winner's losing threshold.  The
+  /// pruning is exact: a Hamming distance is a sum of non-negative
+  /// per-word counts, so the prefix is a lower bound, and the winner
+  /// rule (lowest lattice level, then smaller row key) does not depend
+  /// on the order rows are visited — a row whose prefix already loses
+  /// can neither win nor tie, under any corruption of the rows.  Tiles
+  /// over sorted slots (see lookup_batch()) prune best.
   void decode_slots(std::span<const std::size_t> slots,
                     std::span<server_id> winners,
                     cached_slot* detail = nullptr) const;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/hd_table.hpp"
+#include "fault/injector.hpp"
 #include "hashing/registry.hpp"
 #include "hdc/hypervector.hpp"
 #include "simd/hamming_kernel.hpp"
@@ -119,30 +120,46 @@ TEST_P(KernelConformanceTest, LookupBatchWinnersMatchScalarKernel) {
   // End-to-end: the same table answers the same batch under the scalar
   // kernel and under the kernel on test; assignments must be identical
   // (dimension 10,000 exercises the partial 157th word on every row).
-  hd_table_config config;
-  config.dimension = 10'000;
-  config.capacity = 256;
-  hd_table table(default_hash(), config);
-  for (server_id s = 1; s <= 48; ++s) {
-    table.join(s);
-  }
+  // The second shape is the paper's robustness setup — 512 servers on
+  // 768 slots with injected bit flips — where winners sit a step or
+  // less from their probes and the batch sweep's prefix bound prunes
+  // most rows.
+  struct table_shape {
+    std::size_t capacity;
+    server_id servers;
+    std::size_t flips;
+  };
   std::vector<request_id> requests(300);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     requests[i] = (i + 1) * 0x9e3779b97f4a7c15ULL;
   }
-  std::vector<server_id> expected(requests.size());
-  ASSERT_TRUE(simd::set_active_kernel("scalar"));
-  table.lookup_batch(requests, expected);
+  for (const table_shape shape : {table_shape{256, 48, 0},
+                                  table_shape{768, 512, 10}}) {
+    hd_table_config config;
+    config.dimension = 10'000;
+    config.capacity = shape.capacity;
+    hd_table table(default_hash(), config);
+    for (server_id s = 1; s <= shape.servers; ++s) {
+      table.join(s);
+    }
+    bit_flip_injector injector(0xF11B);
+    scoped_injection injection(injector, table, shape.flips);
+    std::vector<server_id> expected(requests.size());
+    ASSERT_TRUE(simd::set_active_kernel("scalar"));
+    table.lookup_batch(requests, expected);
 
-  std::vector<server_id> actual(requests.size());
-  ASSERT_TRUE(simd::set_active_kernel(GetParam()->name));
-  table.lookup_batch(requests, actual);
-  EXPECT_EQ(actual, expected) << "kernel " << GetParam()->name;
+    std::vector<server_id> actual(requests.size());
+    ASSERT_TRUE(simd::set_active_kernel(GetParam()->name));
+    table.lookup_batch(requests, actual);
+    EXPECT_EQ(actual, expected)
+        << "kernel " << GetParam()->name << " servers " << shape.servers;
 
-  // The batch path must also agree with element-wise lookup under the
-  // same kernel.
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(table.lookup(requests[i]), expected[i]);
+    // The batch path must also agree with element-wise lookup under the
+    // same kernel.
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(table.lookup(requests[i]), expected[i])
+          << "servers " << shape.servers << " request " << i;
+    }
   }
 }
 

@@ -4,7 +4,9 @@
 /// scalar path's (possibly corrupted) answers bit for bit.  This is the
 /// contract that lets the emulator and experiment drivers feed batches
 /// everywhere without changing any measured result.
+#include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -175,6 +177,110 @@ TEST(BatchHdTest, CosineMetricAlsoConforms) {
   table->lookup_batch(requests, batched);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(batched[i], table->lookup(requests[i]));
+  }
+}
+
+TEST(BatchHdTest, TwinRowsTieToTheSmallerServer) {
+  // Servers whose ids fall on the same circle slot store identical rows,
+  // so every probe sees both at exactly the same distance and the tie
+  // goes to the smaller id.  Joining the larger id of each pair first
+  // makes the winner a later row that only *ties* the incumbent: a
+  // batch sweep that drops rows on a bound admitting ties, instead of
+  // only sure losses, hands those slots to the wrong twin.
+  for (const bool lattice : {true, false}) {
+    hd_table_config config;
+    config.dimension = 2048;
+    config.capacity = 256;
+    config.lattice_decode = lattice;
+    hd_table table(default_hash(), config);
+    std::unordered_map<std::size_t, server_id> first_on_slot;
+    std::vector<server_id> smaller_twins;
+    for (server_id id = 1; smaller_twins.size() < 48; ++id) {
+      const auto [it, fresh] =
+          first_on_slot.try_emplace(table.encoder().slot_of(id), id);
+      if (fresh || it->second == 0) {
+        continue;  // first id on its slot, or the slot already has a pair
+      }
+      table.join(id);
+      table.join(it->second);
+      smaller_twins.push_back(it->second);
+      it->second = 0;
+    }
+    const auto requests = request_block(4000, 0x7a1e);
+    std::vector<server_id> batched(requests.size());
+    table.lookup_batch(requests, batched);
+    std::size_t twin_answers = 0;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const server_id expected = table.lookup(requests[i]);
+      EXPECT_EQ(batched[i], expected)
+          << "lattice " << lattice << " request " << i;
+      twin_answers += std::count(smaller_twins.begin(), smaller_twins.end(),
+                                 expected) > 0;
+    }
+    // Every answer comes from a pair, so ties decided every request.
+    EXPECT_EQ(twin_answers, requests.size());
+  }
+}
+
+class BatchHdDimensionTest : public ::testing::TestWithParam<std::size_t> {};
+
+// Around the batch sweep's prefix: shorter than it (prefix-only path),
+// exactly it, one bit past it (a partial boundary word after the
+// prefix), and the paper's d = 10,000.
+INSTANTIATE_TEST_SUITE_P(
+    AroundThePrefix, BatchHdDimensionTest,
+    ::testing::Values(std::size_t{64}, std::size_t{1000},
+                      hd_table::kDecodePrefixWords * 64,
+                      hd_table::kDecodePrefixWords * 64 + 1,
+                      std::size_t{10'000}),
+    [](const auto& info) { return "d" + std::to_string(info.param); });
+
+TEST_P(BatchHdDimensionTest, BatchMatchesScalarLookup) {
+  for (const bool lattice : {true, false}) {
+    hd_table_config config;
+    config.dimension = GetParam();
+    config.capacity = 64;
+    config.lattice_decode = lattice;
+    hd_table table(default_hash(), config);
+    for (server_id s = 1; s <= 40; ++s) {
+      table.join(s * 131);
+    }
+    const auto requests = request_block(1000, 0xd17e);
+    bit_flip_injector injector(GetParam());
+    for (const std::size_t flips : {std::size_t{0}, std::size_t{16}}) {
+      scoped_injection injection(injector, table, flips);
+      std::vector<server_id> batched(requests.size());
+      table.lookup_batch(requests, batched);
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        EXPECT_EQ(batched[i], table.lookup(requests[i]))
+            << "lattice " << lattice << " flips " << flips << " request "
+            << i;
+      }
+    }
+  }
+}
+
+TEST(BatchHdTest, HeavilyCorruptedTableConforms) {
+  // Thousands of flips over 16 rows of 2048 bits push every row far from
+  // its circle vector: at 4,000 (about 250 bits a row) winners sit far
+  // from their probes, and at 12,000 rows are near random, so the prefix
+  // bound seldom prunes and winners change many times per sweep.  The
+  // sweep must still agree with the unpruned decode().
+  table_options options = fast_options();
+  auto table = make_table("hd", options);
+  for (server_id s = 1; s <= 16; ++s) {
+    table->join(s * 409);
+  }
+  const auto requests = request_block(1000, 0xbad5);
+  bit_flip_injector injector(7);
+  for (const std::size_t flips : {std::size_t{4000}, std::size_t{12'000}}) {
+    scoped_injection injection(injector, *table, flips);
+    std::vector<server_id> batched(requests.size());
+    table->lookup_batch(requests, batched);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(batched[i], table->lookup(requests[i]))
+          << "flips " << flips << " request " << i;
+    }
   }
 }
 
