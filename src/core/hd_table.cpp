@@ -306,13 +306,24 @@ bool hd_table::beats_cached(const cached_slot& incumbent,
          (candidate_level == incumbent_level && row_key < incumbent.row_key);
 }
 
+std::optional<server_id> hd_table::cached_owner(request_id request) const {
+  if (!config_.slot_cache) {
+    return std::nullopt;
+  }
+  const std::optional<cached_slot>& entry = cache_[encoder_.slot_of(request)];
+  if (!entry.has_value()) {
+    return std::nullopt;
+  }
+  return entry->owner;
+}
+
 server_id hd_table::lookup(request_id request) const {
   HDHASH_REQUIRE(!memory_.empty(), "lookup on an empty pool");
+  if (const std::optional<server_id> owner = cached_owner(request)) {
+    return *owner;
+  }
   if (config_.slot_cache) {
     const std::size_t slot = encoder_.slot_of(request);
-    if (cache_[slot].has_value()) {
-      return cache_[slot]->owner;
-    }
     std::uint64_t distance = 0;
     const std::uint64_t key = decode(encoder_.at(slot), &distance).key;
     const server_id owner = owner_of(key);
@@ -332,6 +343,23 @@ void hd_table::lookup_batch(std::span<const request_id> requests,
     return;
   }
   HDHASH_REQUIRE(!memory_.empty(), "lookup on an empty pool");
+
+  // A warm cache answers the block with one array read per request.  The
+  // first unresolved slot (the first request, with the cache off) hands
+  // the rest of the block, from that request on, to the decode path.
+  std::size_t hits = 0;
+  for (; hits < requests.size(); ++hits) {
+    const std::optional<server_id> owner = cached_owner(requests[hits]);
+    if (!owner.has_value()) {
+      break;
+    }
+    out[hits] = *owner;
+  }
+  requests = requests.subspan(hits);
+  out = out.subspan(hits);
+  if (requests.empty()) {
+    return;
+  }
 
   // Enc has only n distinct outputs, so the block collapses to at most
   // min(|block|, n) distinct probes; encoding happens once per slot.

@@ -11,12 +11,15 @@
 /// changes under realistic memory-error rates.
 ///
 /// API v2 additions:
-///  * lookup_batch() — the batch associative query.  Enc has only n
-///    distinct outputs, so a request block first collapses to its unique
-///    circle slots, then the item memory is swept once with each stored
-///    row compared word-wise against a tile of probes (the software
-///    analogue of an accelerator answering several queries per pass);
-///    a row's tail words are skipped once its prefix already loses.
+///  * lookup_batch() — the batch associative query.  On a warm slot
+///    cache (every published epoch) each request is one array read and
+///    the call allocates nothing.  From the first unresolved slot on,
+///    Enc's n distinct outputs collapse the rest of the block to its
+///    unique circle slots, then the item memory is swept once with each
+///    stored row compared word-wise against a tile of probes (the
+///    software analogue of an accelerator answering several queries per
+///    pass); a row's tail words are skipped once its prefix already
+///    loses.
 ///  * weighted join — a member of weight w stores round(w) rows
 ///    (replicated circle slots), so it wins a proportional share of the
 ///    request space.  Weight 1 is bit-identical to the unweighted v1
@@ -98,15 +101,28 @@ class hd_table final : public dynamic_table {
   void leave(server_id server) override;
   server_id lookup(request_id request) const override;
 
-  /// Batch associative query: slot-dedupes the block, sorts the slots
-  /// left to decode, then sweeps the item memory once per probe tile
-  /// with word-level reuse of each stored row (see decode_slots()).
-  /// Sorting makes each tile one short arc of the circle, so its probes
-  /// share the same few nearby rows and the prefix bound drops the rest
-  /// early.  Assignments are identical to element-wise lookup().
+  /// Batch associative query.  With the slot cache on, requests are
+  /// answered by cached_owner() until the first one whose slot is
+  /// unresolved; that part of the call allocates nothing, so a block on
+  /// a warm table or a published snapshot costs one array read per
+  /// request.  The rest of the block, from the first miss on (the whole
+  /// block when the cache is off), is slot-deduped, its slots sorted,
+  /// and the item memory swept once per probe tile with word-level reuse
+  /// of each stored row (see decode_slots()).  Sorting makes each tile
+  /// one short arc of the circle, so its probes share the same few
+  /// nearby rows and the prefix bound drops the rest early.  Assignments
+  /// are identical to element-wise lookup().
   void lookup_batch(std::span<const request_id> requests,
                     std::span<server_id> out) const override;
   using dynamic_table::lookup_batch;
+
+  /// The slot cache's answer for a request: the owner cached for its
+  /// circle slot, or nullopt when the cache is off or the slot is
+  /// unresolved.  Never decodes and never writes, so it is safe on a
+  /// frozen snapshot shared by many readers.  A cache entry always
+  /// equals a cold decode, so a value returned here is exactly what
+  /// lookup() returns.
+  std::optional<server_id> cached_owner(request_id request) const;
 
   /// Words of each row the batch sweep scores before deciding whether
   /// the rest of the row is needed (the partial-distance prefix of

@@ -91,18 +91,36 @@ void hierarchical_hd_table::lookup_batch(std::span<const request_id> requests,
     return;
   }
   HDHASH_REQUIRE(server_count_ > 0, "lookup on an empty pool");
-  // One batched router query assigns every request its shard.
-  std::vector<server_id> shard_ids(requests.size());
-  router().lookup_batch(requests, shard_ids);
+  // One batched router query writes every request's shard into out; on
+  // a warm router that is one cache read per request.  Warm shards then
+  // answer in place, one more read each.  The first shard miss hands the
+  // rest of the block, whose out entries still hold shard ids, to the
+  // scatter below.  With the cache off the first request misses.
+  router().lookup_batch(requests, out);
+  std::size_t hits = 0;
+  for (; hits < requests.size(); ++hits) {
+    const std::optional<server_id> owner =
+        shard(static_cast<std::size_t>(out[hits])).cached_owner(requests[hits]);
+    if (!owner.has_value()) {
+      break;
+    }
+    out[hits] = *owner;
+  }
+  requests = requests.subspan(hits);
+  out = out.subspan(hits);
+  if (requests.empty()) {
+    return;
+  }
 
   // Counting-sort scatter: one flat permutation buffer instead of a
   // vector-of-vectors, so the scatter makes no per-shard allocations and
   // every shard's sub-block reaches that shard's probe-tiled sweep —
   // and through it the dispatched SIMD Hamming kernel — as a single
-  // contiguous batch.
+  // contiguous batch.  out is read as shard ids only here, before the
+  // per-group loop writes any answer over them.
   std::vector<std::size_t> offsets(groups() + 1, 0);
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    ++offsets[static_cast<std::size_t>(shard_ids[i]) + 1];
+    ++offsets[static_cast<std::size_t>(out[i]) + 1];
   }
   for (std::size_t g = 0; g < groups(); ++g) {
     offsets[g + 1] += offsets[g];
@@ -110,7 +128,7 @@ void hierarchical_hd_table::lookup_batch(std::span<const request_id> requests,
   std::vector<std::size_t> order(requests.size());
   std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    order[cursor[static_cast<std::size_t>(shard_ids[i])]++] = i;
+    order[cursor[static_cast<std::size_t>(out[i])]++] = i;
   }
 
   std::vector<request_id> block;

@@ -48,9 +48,15 @@ class hierarchical_hd_table final : public dynamic_table {
   void leave(server_id server) override;
   server_id lookup(request_id request) const override;
 
-  /// Batch lookup: one batched router query splits the block by shard,
-  /// then each non-empty shard answers its sub-block with the tiled
-  /// associative query.  Assignments match element-wise lookup().
+  /// Batch lookup.  One batched router query writes each request's
+  /// shard into `out`, then the shards answer in place from their slot
+  /// caches (hd_table::cached_owner()).  On warm caches (every published
+  /// epoch) a request thus costs two cache reads, the router's and its
+  /// shard's, and the call allocates nothing.  Only from the first shard
+  /// miss on does the rest of the block take the batched path: a
+  /// counting-sort scatter splits it by shard, then each non-empty shard
+  /// answers its sub-block with the tiled associative query.
+  /// Assignments match element-wise lookup().
   void lookup_batch(std::span<const request_id> requests,
                     std::span<server_id> out) const override;
   using dynamic_table::lookup_batch;

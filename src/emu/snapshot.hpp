@@ -38,9 +38,11 @@ namespace hdhash {
 /// One published membership epoch: an immutable table plus its epoch
 /// number.  Safe to share across any number of reader threads — the
 /// underlying table is frozen (see dynamic_table::snapshot()), and for
-/// hd-family tables it carries the fully resolved slot cache, the
-/// PR-2-style memoization now shared by *all* shards for the epoch's
-/// whole lifetime instead of rebuilt per sub-batch.
+/// hd-family tables it carries the fully resolved slot cache, shared by
+/// *all* shards for the epoch's whole lifetime instead of rebuilt per
+/// sub-batch.  Because every slot is resolved, a worker's lookup_batch
+/// on the epoch answers each request from that cache (one array read
+/// per table, see hd_table::cached_owner()) and allocates nothing.
 class table_snapshot {
  public:
   /// \param epoch  monotonically increasing membership-epoch number.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "fault/injector.hpp"
 #include "hashing/registry.hpp"
 #include "hdc/similarity.hpp"
@@ -240,13 +243,21 @@ TEST(HdTableTest, FaultInjectionInvalidatesSlotCache) {
       b = std::byte{0xff};
     }
   }
+  // The batch path reads the cache first, so it runs before lookup()
+  // refills it: it must answer as lookup() does, not from a stale entry.
+  std::vector<request_id> requests(before.size());
+  std::iota(requests.begin(), requests.end(), request_id{0});
+  std::vector<server_id> batched(requests.size());
+  table.lookup_batch(requests, batched);
   // At least one request must now answer differently (d=256 is small
   // enough that a fully inverted row loses every query it used to win).
   std::size_t changed = 0;
   for (request_id r = 0; r < 50; ++r) {
+    EXPECT_EQ(batched[r], table.lookup(r)) << "request " << r;
     changed += table.lookup(r) != before[r] ? 1 : 0;
   }
   EXPECT_GT(changed, 0u);
+  EXPECT_NE(batched, before);
 }
 
 TEST(HdTableTest, ConfigAccessors) {

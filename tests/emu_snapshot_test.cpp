@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "core/hd_table.hpp"
@@ -289,7 +290,23 @@ TEST(SlotCacheMaintenanceTest, MaintainedCacheEqualsColdDecodeUnderChurn) {
   hd_table cached(hash_by_name("xxhash64"), cached_config);
   hd_table plain(hash_by_name("xxhash64"), plain_config);
 
+  std::vector<request_id> block(600);
+  std::iota(block.begin(), block.end(), request_id{0});
   auto check = [&](const char* when) {
+    // The batches run on copies, which carry the cache exactly as the
+    // event left it (maintained entries beside invalidated slots): the
+    // live copy meets that mix, the published one answers every request
+    // from the warmed cache, and `cached` itself is left untouched so
+    // its scalar lookups below still take lookup()'s own re-decode.
+    std::vector<server_id> expected(block.size());
+    std::vector<server_id> live(block.size());
+    std::vector<server_id> published(block.size());
+    plain.lookup_batch(block, expected);
+    hd_table live_copy(cached);
+    live_copy.lookup_batch(block, live);
+    hd_table(cached).snapshot()->lookup_batch(block, published);
+    ASSERT_EQ(live, expected) << when;
+    ASSERT_EQ(published, expected) << when;
     for (request_id r = 0; r < 600; ++r) {
       ASSERT_EQ(cached.lookup(r), plain.lookup(r)) << when << " r=" << r;
     }

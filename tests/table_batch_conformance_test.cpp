@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/hd_table.hpp"
+#include "core/hierarchical.hpp"
 #include "exp/factory.hpp"
 #include "fault/injector.hpp"
 #include "hashing/registry.hpp"
@@ -145,6 +146,128 @@ TEST(BatchHdTest, SlotCacheAndBatchAgree) {
     EXPECT_EQ(cached_batch[i], plain->lookup(requests[i]));
     EXPECT_EQ(cached->lookup(requests[i]), plain->lookup(requests[i]));
   }
+}
+
+/// A block of `size` requests whose first slot-cache miss sits at
+/// `first_miss`: hits before it, then a miss on every third index.
+std::vector<request_id> block_with_first_miss(
+    const std::vector<request_id>& hits, const std::vector<request_id>& misses,
+    std::size_t size, std::size_t first_miss) {
+  std::vector<request_id> block;
+  std::size_t h = 0;
+  std::size_t m = 0;
+  for (std::size_t i = 0; i < size; ++i) {
+    const bool miss = i >= first_miss && (i - first_miss) % 3 == 0;
+    block.push_back(miss ? misses[m++ % misses.size()]
+                         : hits[h++ % hits.size()]);
+  }
+  return block;
+}
+
+/// A live slot-cached table answers the leading hits of a block from
+/// its cache and decodes the rest from the first miss on.  Every block
+/// runs on its own clone, so each one meets the same cache state, and
+/// lookup() on another clone is the reference.
+void expect_mixed_blocks_conform(const dynamic_table& table,
+                                 const std::vector<request_id>& hits,
+                                 const std::vector<request_id>& misses,
+                                 const std::string& when) {
+  ASSERT_FALSE(hits.empty()) << when;
+  ASSERT_FALSE(misses.empty()) << when;
+  constexpr std::size_t kBlock = 64;
+  constexpr server_id kUnanswered = 0xdead'beefULL;
+  for (const std::size_t first_miss : {std::size_t{0}, kBlock / 2, kBlock - 1}) {
+    const auto block = block_with_first_miss(hits, misses, kBlock, first_miss);
+    const auto live = table.clone();
+    const auto reference = table.clone();
+    std::vector<server_id> batched(kBlock, kUnanswered);
+    live->lookup_batch(block, batched);
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      EXPECT_EQ(batched[i], reference->lookup(block[i]))
+          << when << ", first miss " << first_miss << ", request " << i;
+    }
+    std::vector<server_id> again(kBlock, kUnanswered);
+    live->lookup_batch(block, again);
+    EXPECT_EQ(again, batched) << when << ", first miss " << first_miss;
+  }
+}
+
+TEST(BatchSlotCacheTest, FlatBlocksMixingHitsAndMisses) {
+  hd_table_config config = fast_options().hd;
+  config.slot_cache = true;
+  hd_table table(default_hash(), config);
+  for (server_id s = 1; s <= 24; ++s) {
+    table.join(s * 1009);
+  }
+  table.warm_slot_cache();
+  table.leave(5 * 1009);  // the slots it owned go unresolved
+  std::vector<request_id> hits;
+  std::vector<request_id> misses;
+  for (const request_id r : request_block(2000, 0x5107)) {
+    (table.cached_owner(r).has_value() ? hits : misses).push_back(r);
+  }
+  expect_mixed_blocks_conform(table, hits, misses, "after a leave");
+}
+
+TEST(BatchSlotCacheTest, HierarchicalBlocksMixingHitsAndMisses) {
+  table_options options = fast_options();
+  options.hd.slot_cache = true;
+  auto owned = make_table("hd-hierarchical", options);
+  auto& table = dynamic_cast<hierarchical_hd_table&>(*owned);
+  std::vector<std::vector<server_id>> members(table.groups());
+  for (server_id s = 1; s <= 24; ++s) {
+    table.join(s * 1009);
+    members[table.shard_of(s * 1009)].push_back(s * 1009);
+  }
+  const auto pool = request_block(2000, 0x6120);
+  std::vector<server_id> owner(pool.size());
+  // Splits the pool by whether its current owner passes `misses_if`,
+  // after a batch over the pool resolved every slot it touches.
+  const auto split = [&](auto misses_if, std::vector<request_id>& hits,
+                         std::vector<request_id>& misses) {
+    table.lookup_batch(pool, owner);
+    hits.clear();
+    misses.clear();
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      (misses_if(owner[i]) ? misses : hits).push_back(pool[i]);
+    }
+  };
+  std::vector<request_id> hits;
+  std::vector<request_id> misses;
+
+  // Group miss: a member leaves a group that keeps others, so only the
+  // group's slots it owned go unresolved; the router is untouched.
+  const auto shared = std::find_if(members.begin(), members.end(),
+                                   [](const auto& m) { return m.size() >= 2; });
+  ASSERT_NE(shared, members.end());
+  const server_id leaver = shared->back();
+  split([&](server_id s) { return s == leaver; }, hits, misses);
+  table.leave(leaver);
+  expect_mixed_blocks_conform(table, hits, misses, "group miss");
+
+  // Router miss: a group empties, so the router's slots it owned go
+  // unresolved.
+  std::size_t emptied = 0;
+  while (emptied < members.size() &&
+         (members.begin() + emptied == shared || members[emptied].empty())) {
+    ++emptied;
+  }
+  ASSERT_LT(emptied, members.size());
+  split([&](server_id s) { return table.shard_of(s) == emptied; }, hits,
+        misses);
+  for (const server_id s : members[emptied]) {
+    table.leave(s);
+  }
+  expect_mixed_blocks_conform(table, hits, misses, "router miss");
+
+  // Refill: the group comes back with a new member.  Neither the
+  // router's nor the group's unresolved slots are decoded by the join.
+  server_id newcomer = 1;
+  while (table.shard_of(newcomer) != emptied || table.contains(newcomer)) {
+    ++newcomer;
+  }
+  table.join(newcomer);
+  expect_mixed_blocks_conform(table, hits, misses, "refilled group");
 }
 
 TEST(BatchHdTest, RawArgmaxDecodingAlsoConforms) {
