@@ -10,8 +10,9 @@ are *accepted but never gated*: thread scheduling on shared CI runners
 is too noisy to fail a job over, so when either input identifies
 itself as the sharded benchmark the script prints a report-only
 comparison (per-series aggregate speedups, placement scaling, the
-recorded topology) and exits 0.  This lets CI run one check step over
-both trajectory files and upload both as artifacts.
+recorded topology, the clean/churn wall-rate ratio per shard count)
+and exits 0.  This lets CI run one check step over both trajectory
+files and upload both as artifacts.
 
 ``BENCH_net_frontend.json`` files (``bench_net_frontend``) are handled
 the same way: report-only (loopback TCP throughput is even noisier
@@ -126,6 +127,7 @@ def report_sharded(base: dict, fresh: dict) -> int:
                 f"  [info] {key} shards={base_entry.get('shards')}: "
                 f"speedup {b:.2f} -> {f:.2f} ({delta:+.1%}{pinned_note})"
             )
+    print_churn_gap(base, fresh)
     for entry in fresh.get("placement_scaling", []):
         print(
             f"  [info] placement {entry.get('policy', '?')}: "
@@ -135,6 +137,32 @@ def report_sharded(base: dict, fresh: dict) -> int:
         )
     print("check_bench: sharded trajectory accepted (not gated)")
     return 0
+
+
+def churn_gaps(doc: dict) -> dict:
+    """Clean/churn ``wall_rps`` ratio per shard count present in both
+    ``results`` and ``results_churn`` — the churn-gap number the
+    ROADMAP's "close the churn gap" item is judged on."""
+    churn = {e.get("shards"): e.get("wall_rps", 0.0)
+             for e in doc.get("results_churn", [])}
+    gaps = {}
+    for entry in doc.get("results", []):
+        shards = entry.get("shards")
+        if churn.get(shards):
+            gaps[shards] = entry.get("wall_rps", 0.0) / churn[shards]
+    return gaps
+
+
+def print_churn_gap(base: dict, fresh: dict) -> None:
+    """Prints the clean/churn wall-rate ratio per shard count, base ->
+    fresh.  Report only: no threshold."""
+    base_gaps = churn_gaps(base)
+    fresh_gaps = churn_gaps(fresh)
+    for shards in sorted(set(base_gaps) & set(fresh_gaps)):
+        print(
+            f"  [info] churn gap shards={shards}: clean/churn wall_rps "
+            f"{base_gaps[shards]:.2f} -> {fresh_gaps[shards]:.2f}"
+        )
 
 
 CHANNEL_BENCHMARK = "channel"

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 
 #include "hdc/similarity.hpp"
 #include "simd/hamming_kernel.hpp"
@@ -40,8 +41,8 @@ hd_table::hd_table(const hd_table& other)
       arena_(other.arena_),
       encoder_(other.encoder_),
       memory_(other.memory_),
-      members_(other.members_),
-      row_owner_(other.row_owner_),
+      rows_(other.rows_),
+      member_count_(other.member_count_),
       cache_(other.cache_),
       // A copy is independently mutable regardless of the source's
       // snapshot state: membership maintenance must write its cache.
@@ -49,19 +50,17 @@ hd_table::hd_table(const hd_table& other)
 
 void hd_table::join(server_id server, double weight) {
   HDHASH_REQUIRE(weight > 0.0, "weight must be positive");
-  HDHASH_REQUIRE(!members_.contains(server), "server already in the pool");
+  HDHASH_REQUIRE(!contains(server), "server already in the pool");
+  // The table replicates round(weight) slots, so that is the weight it
+  // actually serves: weight() counts the rows, not the raw request, or
+  // the weighted-uniformity chi-squared expectation diverges from the
+  // load the member really receives (weights 1.0 and 1.4 build
+  // identical tables and must report identically).
   const auto replicas = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::llround(weight)));
   HDHASH_REQUIRE(memory_.size() + replicas < encoder_.size(),
                  "pool would reach the circle capacity (need n > k)");
-  member_info info;
-  // The table replicates round(weight) slots, so that is the weight it
-  // actually serves: report the effective replication, not the raw
-  // request, or the weighted-uniformity chi-squared expectation diverges
-  // from the load the member really receives (weights 1.0 and 1.4 build
-  // identical tables and must report identically).
-  info.weight = static_cast<double>(replicas);
-  info.row_keys.reserve(replicas);
+  const std::size_t first_row = rows_.size();
   for (std::size_t replica = 0; replica < replicas; ++replica) {
     // The first row is the server's own encoding (bit-identical to the
     // unweighted v1 behaviour); extras are encodings of derived ids.
@@ -72,38 +71,54 @@ void hd_table::join(server_id server, double weight) {
     HDHASH_REQUIRE(!memory_.contains(key),
                    "replica identifier collision — change the table seed");
     memory_.insert(key, encoder_.encode(key));
-    row_owner_.emplace(key, server);
-    info.row_keys.push_back(key);
+    rows_.push_back(row_entry{key, server});
   }
+  ++member_count_;
   // Incremental cache maintenance: a new row changes a slot's decision
   // only if it beats the incumbent winner under the decode() rule, so
   // one distance per (new row, cached slot) — O(n) per replica instead
   // of the O(n·k) full rebuild — keeps every valid entry exact.
   if (config_.slot_cache && !frozen_) {
-    for (const std::uint64_t key : info.row_keys) {
-      const hdc::hypervector& row = memory_.at(key);
-      for (std::size_t slot = 0; slot < cache_.size(); ++slot) {
+    // A joining row is the fresh circle vector of its home slot, faults
+    // or not (the circle is not on the fault surface).  Under fresh_bits
+    // the circle's profile is exact — Hamming(C[i], C[j]) == step ×
+    // circular_distance(i, j, n), for even and odd n (circular.hpp) — so
+    // its distance to every slot is integer math.  Independent flips
+    // only approximate that profile and keep the popcount.
+    const bool geometric = config_.policy == hdc::flip_policy::fresh_bits;
+    const std::uint64_t step = encoder_.step_bits();
+    const std::size_t n = cache_.size();
+    for (std::size_t r = first_row; r < rows_.size(); ++r) {
+      const std::uint64_t key = rows_[r].key;
+      const std::size_t home = encoder_.slot_of(key);
+      for (std::size_t slot = 0; slot < n; ++slot) {
         if (!cache_[slot].has_value()) {
           continue;  // unresolved slots stay lazy
         }
-        const std::uint64_t d = hdc::hamming_distance(row, encoder_.at(slot));
+        const std::uint64_t d =
+            geometric ? step * circular_distance(home, slot, n)
+                      : hdc::hamming_distance(encoder_.at(home),
+                                              encoder_.at(slot));
         if (beats_cached(*cache_[slot], d, key)) {
           cache_[slot] = cached_slot{server, key, d};
         }
       }
     }
   }
-  members_.emplace(server, std::move(info));
 }
 
 void hd_table::leave(server_id server) {
-  const auto it = members_.find(server);
-  HDHASH_REQUIRE(it != members_.end(), "server not in the pool");
-  for (const std::uint64_t key : it->second.row_keys) {
-    memory_.erase(key);
-    row_owner_.erase(key);
+  HDHASH_REQUIRE(contains(server), "server not in the pool");
+  // Both lists drop the leaver's rows in place, so they stay
+  // index-aligned in storage order.
+  for (const row_entry& row : rows_) {
+    if (row.owner == server) {
+      memory_.erase(row.key);
+    }
   }
-  members_.erase(it);
+  std::erase_if(rows_,
+                [server](const row_entry& row) { return row.owner == server; });
+  --member_count_;
   // Removing rows can only change slots the leaver was winning (the
   // minimum over the remaining rows is unchanged elsewhere), so only
   // those entries are re-decoded — lazily, on next touch or warm.
@@ -116,16 +131,8 @@ void hd_table::leave(server_id server) {
   }
 }
 
-server_id hd_table::owner_of(std::uint64_t row_key) const {
-  const auto it = row_owner_.find(row_key);
-  // Every stored row has an owner; the fallback only matters if a caller
-  // feeds a foreign key, where echoing it mirrors the corrupted-id
-  // failure mode the robustness experiments observe.
-  return it == row_owner_.end() ? row_key : it->second;
-}
-
 hdc::query_result hd_table::decode(const hdc::hypervector& probe,
-                                   std::uint64_t* winner_distance) const {
+                                   cached_slot* winner) const {
   // Maximum-likelihood lattice decoding: snap each measured distance to
   // the nearest circle level (the code's lattice) before comparing, so a
   // per-row perturbation below step/2 bits cannot change the decision.
@@ -143,11 +150,14 @@ hdc::query_result hd_table::decode(const hdc::hypervector& probe,
   };
   best_entry best;
   std::uint64_t best_distance = 0;
+  std::size_t best_row = 0;
+  std::size_t index = 0;  // storage position, aligned with rows_
   hdc::query_result result;
   result.best_score = -std::numeric_limits<double>::infinity();
   result.runner_up = -std::numeric_limits<double>::infinity();
   const auto dim = static_cast<double>(config_.dimension);
   memory_.visit([&](std::uint64_t key, const hdc::hypervector& row) {
+    const std::size_t position = index++;
     const std::uint64_t raw_distance = hdc::hamming_distance(row, probe);
     const auto distance = static_cast<double>(raw_distance);
     const auto level = static_cast<long long>(std::llround(distance / step));
@@ -164,14 +174,17 @@ hdc::query_result hd_table::decode(const hdc::hypervector& probe,
       }
       best = best_entry{key, level, true};
       best_distance = raw_distance;
-      result.key = key;
+      best_row = position;
       result.best_score = raw;
     } else {
       result.runner_up = std::max(result.runner_up, raw);
     }
   });
-  if (winner_distance != nullptr) {
-    *winner_distance = best_distance;
+  if (best.valid) {
+    result.key = rows_[best_row].owner;
+    if (winner != nullptr) {
+      *winner = cached_slot{result.key, best.key, best_distance};
+    }
   }
   return result;
 }
@@ -180,15 +193,17 @@ void hd_table::decode_slots(std::span<const std::size_t> slots,
                             std::span<server_id> winners,
                             cached_slot* detail) const {
   // One gather of the stored rows; scanning them in storage order keeps
-  // the win/tie rule identical to the scalar decode().
+  // the win/tie rule identical to the scalar decode().  rows_ shares that
+  // order, so each row's owner is read off its position.
   struct row_ref {
     std::uint64_t key;
+    server_id owner;
     const std::uint64_t* words;
   };
   std::vector<row_ref> rows;
   rows.reserve(memory_.size());
-  memory_.visit([&rows](std::uint64_t key, const hdc::hypervector& hv) {
-    rows.push_back(row_ref{key, hv.words().data()});
+  memory_.visit([&rows, this](std::uint64_t key, const hdc::hypervector& hv) {
+    rows.push_back(row_ref{key, rows_[rows.size()].owner, hv.words().data()});
   });
   const std::size_t words = (config_.dimension + 63) / 64;
   const std::uint64_t step = encoder_.step_bits();
@@ -216,6 +231,7 @@ void hd_table::decode_slots(std::span<const std::size_t> slots,
   // changes, O(log) times per sweep in expectation.
   struct best_state {
     std::uint64_t key = 0;
+    server_id owner = 0;
     std::uint64_t d = 0;   ///< winning row's exact distance
     std::uint64_t lo = 0;  ///< smallest distance that still ties
     std::uint64_t hi = 0;  ///< smallest distance that loses
@@ -264,6 +280,7 @@ void hd_table::decode_slots(std::span<const std::size_t> slots,
           continue;  // loses outright, or ties against a smaller key
         }
         b.key = row.key;
+        b.owner = row.owner;
         b.d = d;
         b.valid = true;
         if (lattice) {
@@ -280,10 +297,9 @@ void hd_table::decode_slots(std::span<const std::size_t> slots,
       }
     }
     for (std::size_t t = 0; t < tile; ++t) {
-      winners[base + t] = owner_of(best[t].key);
+      winners[base + t] = best[t].owner;
       if (detail != nullptr) {
-        detail[base + t] = cached_slot{winners[base + t], best[t].key,
-                                       best[t].d};
+        detail[base + t] = cached_slot{best[t].owner, best[t].key, best[t].d};
       }
     }
   }
@@ -324,15 +340,14 @@ server_id hd_table::lookup(request_id request) const {
   }
   if (config_.slot_cache) {
     const std::size_t slot = encoder_.slot_of(request);
-    std::uint64_t distance = 0;
-    const std::uint64_t key = decode(encoder_.at(slot), &distance).key;
-    const server_id owner = owner_of(key);
+    cached_slot winner;
+    decode(encoder_.at(slot), &winner);
     if (!frozen_) {
-      cache_[slot] = cached_slot{owner, key, distance};
+      cache_[slot] = winner;
     }
-    return owner;
+    return winner.owner;
   }
-  return owner_of(decode(encoder_.encode(request)).key);
+  return decode(encoder_.encode(request)).key;
 }
 
 void hd_table::lookup_batch(std::span<const request_id> requests,
@@ -424,15 +439,16 @@ void hd_table::warm_slot_cache() const {
 
 hdc::query_result hd_table::lookup_detailed(request_id request) const {
   HDHASH_REQUIRE(!memory_.empty(), "lookup on an empty pool");
-  hdc::query_result result = decode(encoder_.encode(request));
-  result.key = owner_of(result.key);
-  return result;
+  return decode(encoder_.encode(request));
 }
 
 double hd_table::weight(server_id server) const {
-  const auto it = members_.find(server);
-  HDHASH_REQUIRE(it != members_.end(), "server not in the pool");
-  return it->second.weight;
+  // Every member owns its primary row, so a count of zero means absent.
+  const auto replicas = std::count_if(
+      rows_.begin(), rows_.end(),
+      [server](const row_entry& row) { return row.owner == server; });
+  HDHASH_REQUIRE(replicas > 0, "server not in the pool");
+  return static_cast<double>(replicas);
 }
 
 table_stats hd_table::stats() const {
@@ -460,18 +476,21 @@ table_stats hd_table::stats() const {
 }
 
 bool hd_table::contains(server_id server) const {
-  return members_.contains(server);
+  // Only a primary row (key == owner) makes a member: a replica row's
+  // derived key is never one.
+  return std::any_of(rows_.begin(), rows_.end(), [server](const row_entry& row) {
+    return row.key == server && row.owner == server;
+  });
 }
 
 std::vector<server_id> hd_table::servers() const {
   // Storage order of the primary rows == join order; replica rows are
   // filtered out by the key != owner test.
   std::vector<server_id> result;
-  result.reserve(members_.size());
-  for (const std::uint64_t key : memory_.keys()) {
-    const auto it = row_owner_.find(key);
-    if (it != row_owner_.end() && it->second == key) {
-      result.push_back(key);
+  result.reserve(member_count_);
+  for (const row_entry& row : rows_) {
+    if (row.key == row.owner) {
+      result.push_back(row.owner);
     }
   }
   return result;
@@ -485,7 +504,7 @@ std::shared_ptr<const dynamic_table> hd_table::snapshot() const {
   // Publish the accelerator steady state: resolve any slots the last
   // membership event invalidated, then share a frozen copy.  The circle
   // and every row are shared copy-on-write, so the snapshot's marginal
-  // footprint is the member maps and the resolved slot array.
+  // footprint is the flat row list and the resolved slot array.
   warm_slot_cache();
   auto copy = std::make_shared<hd_table>(*this);
   copy->freeze();

@@ -29,7 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "core/encoder.hpp"
 #include "hdc/item_memory.hpp"
@@ -58,11 +58,13 @@ struct hd_table_config {
   /// slot is the software analogue because Enc has only n distinct
   /// outputs).  The cache is maintained *incrementally* across
   /// membership changes: a leave re-decodes only the slots the leaver
-  /// owned, and a join compares the newcomer's rows against each slot's
-  /// cached winner — O(n) row distances per event instead of an O(n·k)
-  /// full rebuild — always yielding exactly the answers of a cold
-  /// decode.  Off by default: robustness experiments must exercise the
-  /// real associative query.
+  /// owned, and a join compares each newcomer row against each slot's
+  /// cached winner instead of an O(n·k) full rebuild — always yielding
+  /// exactly the answers of a cold decode.  Under `fresh_bits` a joining
+  /// row's distance to every slot follows from circle geometry, so a
+  /// join costs n integer compares per row; under `independent` it
+  /// costs n row distances.  Off by default: robustness experiments
+  /// must exercise the real associative query.
   bool slot_cache = false;
   /// Maximum-likelihood lattice decoding (default on).  Pairwise
   /// similarities of circular hypervectors are quantized in steps of
@@ -132,7 +134,7 @@ class hd_table final : public dynamic_table {
   double weight(server_id server) const override;
   table_stats stats() const override;
   bool contains(server_id server) const override;
-  std::size_t server_count() const override { return members_.size(); }
+  std::size_t server_count() const override { return member_count_; }
   std::vector<server_id> servers() const override;
   std::string_view name() const noexcept override { return "hd"; }
   std::unique_ptr<dynamic_table> clone() const override;
@@ -140,8 +142,9 @@ class hd_table final : public dynamic_table {
   /// Epoch snapshot: warms the slot cache (when enabled), then shares a
   /// frozen copy-on-write copy — the circle basis and every item-memory
   /// row are shared with *this, so the snapshot's marginal footprint is
-  /// bookkeeping (maps + cache), not hypervectors.  The copy is frozen
-  /// (see freeze()), making concurrent lookups on it race-free.
+  /// bookkeeping (the flat row list + slot array), not hypervectors.
+  /// The copy is frozen (see freeze()), making concurrent lookups on it
+  /// race-free.
   std::shared_ptr<const dynamic_table> snapshot() const override;
 
   /// Marks this instance immutable-for-memoization: lookups consult the
@@ -180,11 +183,12 @@ class hd_table final : public dynamic_table {
   const circle_encoder& encoder() const noexcept { return encoder_; }
 
  private:
-  /// Per-member bookkeeping: the joined weight and the row keys its
-  /// replicas are stored under (row_keys[0] == the server id itself).
-  struct member_info {
-    double weight = 1.0;
-    std::vector<std::uint64_t> row_keys;
+  /// One stored row: the key it is stored under and the member that
+  /// owns it.  A member's primary row has key == owner (its own
+  /// encoding); its replica rows carry derived keys.
+  struct row_entry {
+    std::uint64_t key = 0;
+    server_id owner = 0;
   };
 
   /// One memoized slot decision.  Besides the resolved owner, the
@@ -198,22 +202,22 @@ class hd_table final : public dynamic_table {
     std::uint64_t distance = 0;
   };
 
-  /// Decodes a probe to (winner row, raw scores) under the configured
-  /// rule.  Winners are row keys; owner_of() maps them back to servers.
-  /// When non-null, `winner_distance` receives the winning row's exact
-  /// Hamming distance to the probe (the cache maintenance currency).
-  /// Scores every word of every row, unpruned: the single-probe path
-  /// behind lookup() and lookup_detailed(), and the reference the batch
-  /// path is tested against.
+  /// Decodes a probe to (winning owner, raw scores) under the
+  /// configured rule; the result's key is the owner of the winning row.
+  /// When non-null, `winner` receives that owner, the winning row key
+  /// and its exact Hamming distance to the probe (the cache maintenance
+  /// currency).  Scores every word of every row, unpruned: the
+  /// single-probe path behind lookup() and lookup_detailed(), and the
+  /// reference the batch path is tested against.
   hdc::query_result decode(const hdc::hypervector& probe,
-                           std::uint64_t* winner_distance = nullptr) const;
+                           cached_slot* winner = nullptr) const;
 
   /// Decodes a block of circle slots to winning *owner* ids, scoring
   /// each item-memory row against a tile of probes through the
   /// dispatched SIMD Hamming kernel (simd/hamming_kernel.hpp); the
   /// win/tie rule runs on integer distance bands, bit-identical across
   /// kernels and to the scalar decode().  When non-null, `detail[i]`
-  /// receives the winning row key and distance for slots[i].
+  /// receives the winning owner, row key and distance for slots[i].
   ///
   /// Partial-distance search (Bei & Gray 1985): each row is first
   /// scored over its kDecodePrefixWords-word prefix, and over the
@@ -229,9 +233,6 @@ class hd_table final : public dynamic_table {
                     std::span<server_id> winners,
                     cached_slot* detail = nullptr) const;
 
-  /// Maps a decoded row key to the member that owns it.
-  server_id owner_of(std::uint64_t row_key) const;
-
   /// True when a candidate row at `distance` beats the incumbent cache
   /// entry under the exact decode() rule (lattice level compare, ties
   /// to the smaller row key).
@@ -245,8 +246,14 @@ class hd_table final : public dynamic_table {
   std::shared_ptr<mem::hugepage_arena> arena_;
   circle_encoder encoder_;
   hdc::item_memory memory_;
-  std::unordered_map<server_id, member_info> members_;
-  std::unordered_map<std::uint64_t, server_id> row_owner_;
+  // Row bookkeeping, index-aligned with memory_'s storage order: entry i
+  // names the key and owner of memory_'s i-th row, so a decoded row's
+  // owner is read off its position.  Membership queries scan it (k is
+  // bounded by the circle capacity).  Kept flat, like consistent_table's
+  // members, so copying a snapshot is one allocation and freeing it one
+  // free.
+  std::vector<row_entry> rows_;
+  std::size_t member_count_ = 0;
   // Slot-result cache (accelerator model): slot -> winning decision,
   // maintained incrementally across join/leave.  Mutable because it is
   // a pure memoization of lookup(); frozen_ gates all writes so a

@@ -68,6 +68,68 @@ struct epoch_batch {
   }
 };
 
+/// The epoch a request is bound to: the primary snapshot plus, with
+/// shadow oracles on, the same epoch of the pristine shadow publisher.
+struct epoch_pair {
+  std::shared_ptr<const table_snapshot> snap;
+  std::shared_ptr<const table_snapshot> shadow_snap;  // shadow mode only
+};
+
+/// Membership sequencing, shared by both producer schedules: applies
+/// each join/leave to the primary and shadow publishers in lockstep, in
+/// stream order, and binds every request to the epoch it arrives under.
+/// current() is taken lazily on both publishers by the first request
+/// after a membership event, so the published epochs — and each
+/// request's epoch — are the same whichever schedule routes them.
+class epoch_sequencer {
+ public:
+  epoch_sequencer(snapshot_publisher& primary, snapshot_publisher* shadow)
+      : primary_(primary), shadow_(shadow) {}
+
+  /// Applies one join or leave event to both publishers.
+  void apply(const event& e) {
+    if (e.kind == event_kind::join) {
+      primary_.join(e.id, e.weight);
+      if (shadow_ != nullptr) {
+        shadow_->join(e.id, e.weight);
+      }
+      ++joins_;
+    } else {
+      primary_.leave(e.id);
+      if (shadow_ != nullptr) {
+        shadow_->leave(e.id);
+      }
+      ++leaves_;
+    }
+    // Drop the retired epoch now: its last holder should be whichever
+    // batch still carries its requests.
+    epoch_ = {};
+  }
+
+  /// The epoch the next request arrives under, published on first use
+  /// (an empty pair marks a membership event no request has observed).
+  const epoch_pair& bind() {
+    if (epoch_.snap == nullptr) {
+      // The shadow publisher sees the same membership sequence, so its
+      // epochs advance in lockstep with the primary's.
+      epoch_.snap = primary_.current();
+      epoch_.shadow_snap = shadow_ != nullptr ? shadow_->current() : nullptr;
+    }
+    return epoch_;
+  }
+
+  /// Logical membership events applied (each stream event once).
+  std::size_t joins() const noexcept { return joins_; }
+  std::size_t leaves() const noexcept { return leaves_; }
+
+ private:
+  snapshot_publisher& primary_;
+  snapshot_publisher* shadow_;
+  epoch_pair epoch_;
+  std::size_t joins_ = 0;
+  std::size_t leaves_ = 0;
+};
+
 /// Resolves one epoch segment against its snapshot and accounts the
 /// per-shard statistics; with a shadow snapshot present, each answer is
 /// checked against the pristine oracle's for mismatch accounting.
@@ -443,61 +505,36 @@ sharded_report sharded_emulator::run_snapshot(std::span<const event> events) {
 
   const auto start = clock::now();
 
-  // Sequential epoch pre-scan — the multi-producer sequencing step.
-  // Membership applies to the publisher in stream order on this
-  // thread; requests flatten into one stream-ordered vector, grouped
-  // into contiguous *runs* that share an epoch snapshot.  current() is
-  // acquired once per run, so the published-epoch set is exactly the
-  // historical per-request acquisition's (within one epoch current()
-  // returns the same snapshot).  After the scan, any request order is
-  // safe: every request is permanently bound to the epoch it arrived
-  // under, and the load histogram is order-insensitive — which is what
-  // lets M producers split the stream by index range without touching
-  // the determinism guarantee.
+  epoch_sequencer sequencer(*publisher_, shadow_publisher.get());
+  // Multi-producer pre-scan.  Producers on other threads can only start
+  // a range once it is sequenced, so membership applies here first, in
+  // stream order; requests flatten into one stream-ordered vector,
+  // grouped into contiguous *runs* that share an epoch.  After the
+  // scan, any request order is safe: every request is permanently bound
+  // to the epoch it arrived under, and the load histogram is
+  // order-insensitive — which is what lets M producers split the stream
+  // by index range without touching the determinism guarantee.  A
+  // single producer skips this and sequences inline (see below).
   struct epoch_run {
-    std::shared_ptr<const table_snapshot> snap;
-    std::shared_ptr<const table_snapshot> shadow_snap;  // shadow mode only
-    std::size_t begin = 0;  ///< request-index range [begin, end)
-    std::size_t end = 0;
+    epoch_pair epoch;
+    std::size_t end = 0;  ///< one past the run's last request index
   };
   std::vector<request_id> requests;
-  requests.reserve(events.size());
   std::vector<epoch_run> runs;
-  std::size_t logical_joins = 0;
-  std::size_t logical_leaves = 0;
-  bool epoch_dirty = true;
-  for (const event& e : events) {
-    if (e.kind != event_kind::request) {
-      if (e.kind == event_kind::join) {
-        publisher_->join(e.id, e.weight);
-        if (shadow_publisher) {
-          shadow_publisher->join(e.id, e.weight);
-        }
-        ++logical_joins;
-      } else {
-        publisher_->leave(e.id);
-        if (shadow_publisher) {
-          shadow_publisher->leave(e.id);
-        }
-        ++logical_leaves;
+  if (producers > 1) {
+    requests.reserve(events.size());
+    for (const event& e : events) {
+      if (e.kind != event_kind::request) {
+        sequencer.apply(e);
+        continue;
       }
-      epoch_dirty = true;
-      continue;
-    }
-    if (epoch_dirty) {
-      auto snap = publisher_->current();
-      if (runs.empty() || runs.back().snap != snap) {
-        // The shadow publisher sees the same membership sequence, so
-        // its epochs advance in lockstep with the primary's.
-        runs.push_back({std::move(snap),
-                        shadow_publisher ? shadow_publisher->current()
-                                         : nullptr,
-                        requests.size(), requests.size()});
+      const epoch_pair& epoch = sequencer.bind();
+      if (runs.empty() || runs.back().epoch.snap != epoch.snap) {
+        runs.push_back({epoch, requests.size()});
       }
-      epoch_dirty = false;
+      requests.push_back(e.id);
+      runs.back().end = requests.size();
     }
-    requests.push_back(e.id);
-    runs.back().end = requests.size();
   }
   const std::size_t total = requests.size();
 
@@ -522,6 +559,8 @@ sharded_report sharded_emulator::run_snapshot(std::span<const event> events) {
         truth[s].clear();
         return batch;
       },
+      // Resetting a batch drops its epoch references, so the worker that
+      // resets an epoch's last segment frees it.
       [](epoch_batch& batch) { batch.reset(); },
       [&](std::size_t s, const epoch_batch& batch) {
         for (std::size_t i = 0; i < batch.used; ++i) {
@@ -530,58 +569,64 @@ sharded_report sharded_emulator::run_snapshot(std::span<const event> events) {
         }
       },
       [&](std::size_t p, auto& session, auto& pools) {
-        // Producer p encodes the contiguous request range
-        // [p*total/M, (p+1)*total/M), walking the epoch runs that
-        // overlap it; each request joins its shard's pending batch in
-        // the segment of its pre-bound epoch.  Churn never truncates a
-        // batch — only subdivides it.
-        const std::size_t begin = total * p / producers;
-        const std::size_t end = total * (p + 1) / producers;
-        if (begin == end) {
-          return;
-        }
-        std::size_t r = 0;
-        while (runs[r].end <= begin) {
-          ++r;
-        }
         const auto fresh = [] { return epoch_batch{}; };
         std::vector<epoch_batch> pending(shards);
         std::vector<std::size_t> pending_requests(shards, 0);
         for (std::size_t s = 0; s < shards; ++s) {
           pending[s] = next_buffer(pools[s], fresh);
         }
-        auto submit = [&](std::size_t s) {
-          session.push(s, std::move(pending[s]));
-          pending[s] = next_buffer(pools[s], fresh);
-          pending_requests[s] = 0;
-        };
-        for (std::size_t i = begin; i < end; ++i) {
-          while (runs[r].end <= i) {
-            ++r;
+        // Each request joins its shard's pending batch in the segment of
+        // its epoch — a new epoch opens a new segment, so churn never
+        // truncates a batch, only subdivides it — and a full batch is
+        // handed over at once.
+        auto route = [&](request_id request, const epoch_pair& epoch) {
+          const std::size_t s = shard_of(request);
+          epoch_segment* segment = pending[s].current();
+          if (segment == nullptr || segment->snap != epoch.snap) {
+            segment = &pending[s].append();
+            segment->snap = epoch.snap;
+            segment->shadow_snap = epoch.shadow_snap;
           }
-          const std::size_t s = shard_of(requests[i]);
-          epoch_batch& batch = pending[s];
-          epoch_segment* segment = batch.current();
-          if (segment == nullptr || segment->snap != runs[r].snap) {
-            segment = &batch.append();
-            segment->snap = runs[r].snap;
-            segment->shadow_snap = runs[r].shadow_snap;
-          }
-          segment->requests.push_back(requests[i]);
+          segment->requests.push_back(request);
           if (++pending_requests[s] >= capacity) {
-            submit(s);
+            session.push(s, std::move(pending[s]));
+            pending[s] = next_buffer(pools[s], fresh);
+            pending_requests[s] = 0;
+          }
+        };
+        if (producers == 1) {
+          // Single pass: apply each membership event, publish its epoch
+          // on the next request and route that request at once, so the
+          // shards decode while membership is still being applied.
+          for (const event& e : events) {
+            if (e.kind == event_kind::request) {
+              route(e.id, sequencer.bind());
+            } else {
+              sequencer.apply(e);
+            }
+          }
+        } else {
+          // Producer p routes the contiguous request range
+          // [p*total/M, (p+1)*total/M), walking the epoch runs that
+          // overlap it.
+          std::size_t r = 0;
+          for (std::size_t i = total * p / producers;
+               i < total * (p + 1) / producers; ++i) {
+            while (runs[r].end <= i) {
+              ++r;
+            }
+            route(requests[i], runs[r].epoch);
           }
         }
         for (std::size_t s = 0; s < shards; ++s) {
           if (!pending[s].empty()) {
-            submit(s);
+            session.push(s, std::move(pending[s]));
           }
         }
       });
-  // The producers' run references die with run_mesh's scopes; drop the
-  // pre-scan's own snapshot references before measuring memory so
-  // retired epochs free exactly as they did with per-request
-  // acquisition.
+  // The producers' references die with run_mesh's scopes; drop the
+  // pre-scan's own before measuring memory, so only the publisher's
+  // current epoch stays live.
   runs.clear();
   const auto stop = clock::now();
 
@@ -589,11 +634,11 @@ sharded_report sharded_emulator::run_snapshot(std::span<const event> events) {
       std::chrono::duration_cast<std::chrono::duration<double>>(stop - start)
           .count();
   report.merged = merge(report.per_shard);
-  // Membership is applied once, by the pre-scan; report it in the
+  // Membership is applied once, by the sequencer; report it in the
   // merged stats so they compare field-for-field with a single-table
   // reference run.
-  report.merged.joins = logical_joins;
-  report.merged.leaves = logical_leaves;
+  report.merged.joins = sequencer.joins();
+  report.merged.leaves = sequencer.leaves();
   report.table_memory_bytes = publisher_->memory_bytes();
   if (shadow_publisher) {
     // The shadow's rows are COW-shared with the primary until the

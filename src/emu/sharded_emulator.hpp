@@ -35,8 +35,8 @@
 /// table under test and once by a pristine clone taken before the
 /// sharded_config::corrupt hook ran, and disagreements count as
 /// mismatches.  In snapshot mode the oracle is a *second*
-/// snapshot_publisher wrapping the clone: the pre-scan applies every
-/// membership event to both publishers in lockstep, so each epoch run
+/// snapshot_publisher wrapping the clone: the membership sequencer
+/// applies every event to both publishers in lockstep, so each epoch
 /// carries a (corrupted snapshot, pristine shadow snapshot) pair and
 /// workers account mismatches against exactly the epoch a request
 /// arrived under — same counters, none of replicated mode's O(shards)
@@ -48,14 +48,20 @@
 /// the merged load histogram is bit-identical to a single-shard (or
 /// plain emulator) reference run over the same events — the property
 /// the ctest suite asserts and BENCH_sharded_emulator.json records.
+/// In snapshot mode one sequencer applies every join/leave to the
+/// publisher in stream order and binds each request to the epoch it
+/// arrived under.  A single producer sequences and routes in one pass:
+/// each request goes to its shard as soon as its epoch is published, so
+/// the shards decode while membership is still being applied, and each
+/// epoch is freed by the worker that drains its last segment.
 /// Multi-producer runs keep the guarantee because membership is
-/// *sequenced before the fan-out*: a sequential pre-scan on the calling
-/// thread applies every join/leave to the snapshot publisher in stream
-/// order and tags each contiguous request run with its epoch snapshot;
-/// the producers then split the request stream by global index range
-/// and each request still resolves against exactly the epoch it
-/// arrived under, in whatever order the mesh delivers it (the load
-/// histogram is order-insensitive).
+/// *sequenced before the fan-out*: a pre-scan on the calling thread
+/// runs the sequencer over the whole stream and tags each contiguous
+/// request run with its epoch snapshot; the producers then split the
+/// request stream by global index range and each request still
+/// resolves against exactly the epoch it arrived under, in whatever
+/// order the mesh delivers it (the load histogram is
+/// order-insensitive).
 #pragma once
 
 #include <cstdint>
@@ -88,12 +94,14 @@ struct sharded_config {
   /// mode, owns one table replica).
   std::size_t shards = 4;
   /// Producer threads feeding the mesh (>= 1).  1 (default) produces
-  /// on the calling thread, exactly the historical pipeline; M > 1
-  /// adds M pinned producer workers to the pool (placed after the
-  /// shard workers by the same placement policy), each owning one
-  /// channel per shard and encoding a contiguous slice of the request
-  /// stream.  Snapshot mode only: replicated membership needs
-  /// stream-order broadcast, which a fan-out producer cannot preserve.
+  /// on the calling thread, sequencing membership and routing requests
+  /// in one pass over the stream; M > 1 pre-scans the stream to
+  /// sequence membership first, then adds M pinned producer workers to
+  /// the pool (placed after the shard workers by the same placement
+  /// policy), each owning one channel per shard and encoding a
+  /// contiguous slice of the request stream.  Snapshot mode only:
+  /// replicated membership needs stream-order broadcast, which a
+  /// fan-out producer cannot preserve.
   std::size_t producers = 1;
   /// Events buffered per shard before a batch is handed to its worker
   /// (the paper's batch size of 256 per shard).

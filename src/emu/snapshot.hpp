@@ -13,8 +13,9 @@
 /// under, so
 ///  * churn costs O(1) applications per event regardless of shard count,
 ///  * table memory is ~one replica plus copy-on-write bookkeeping
-///    (hd shares the circle basis and item-memory rows, and
-///    hd-hierarchical every group the epoch's events did not touch; see
+///    (hd shares the circle basis and item-memory rows and copies only
+///    its flat row list and slot array, and hd-hierarchical shares every
+///    group the epoch's events did not touch; see
 ///    dynamic_table::snapshot()), and
 ///  * the merged load histogram stays bit-identical to a single-table
 ///    reference run, because every request still sees exactly the
@@ -24,7 +25,8 @@
 /// servers (e.g. cachegrand's read-mostly shared state): writers never
 /// mutate what readers hold; they publish a fresh version and let the
 /// old epoch drain.  Reclamation falls out of shared_ptr reference
-/// counts — the last worker batch holding an epoch frees it.
+/// counts — the last worker batch holding an epoch frees it, so an hd
+/// epoch's teardown is a couple of flat-array frees on a shard worker.
 #pragma once
 
 #include <cstdint>

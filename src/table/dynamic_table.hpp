@@ -174,8 +174,8 @@ class dynamic_table : public fault_surface {
   /// The default implementation deep-copies via clone(); implementations
   /// with large immutable state override it to share that state
   /// copy-on-write.  hd shares the circle basis and the item-memory
-  /// rows, so a snapshot copies only its bookkeeping (member maps and
-  /// slot array), not hypervectors; hd-hierarchical also shares with
+  /// rows, so a snapshot copies only its bookkeeping (its flat row list
+  /// and slot array), not hypervectors; hd-hierarchical also shares with
   /// the previous epoch every group no membership event touched, so it
   /// copies only the touched groups' bookkeeping.
   /// \post the returned table maps every request exactly as *this does

@@ -108,12 +108,15 @@ TEST(CircularSetTest, OddCardinalityFootnote) {
   const auto set = circular_set(count, dim, rng);
   ASSERT_EQ(set.size(), count);
   // Taking alternate members of a circle of 26 preserves circular
-  // structure with doubled per-step weight.
+  // structure with doubled per-step weight — exactly, for every pair,
+  // which is what lets hd_table price a join by geometry on odd circles.
   const std::size_t weight = 2 * (dim / (2 * count));
-  for (std::size_t j = 0; j < count; ++j) {
-    EXPECT_EQ(hamming_distance(set[0], set[j]),
-              weight * circular_distance(0, j, count))
-        << "j=" << j;
+  for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t j = 0; j < count; ++j) {
+      EXPECT_EQ(hamming_distance(set[i], set[j]),
+                weight * circular_distance(i, j, count))
+          << "pair " << i << "," << j;
+    }
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -10,6 +12,7 @@
 #include "hdc/similarity.hpp"
 #include "support/scripted_hash.hpp"
 #include "util/require.hpp"
+#include "util/rng.hpp"
 
 namespace hdhash {
 namespace {
@@ -258,6 +261,91 @@ TEST(HdTableTest, FaultInjectionInvalidatesSlotCache) {
   }
   EXPECT_GT(changed, 0u);
   EXPECT_NE(batched, before);
+}
+
+TEST(HdTableTest, MembershipQueriesFollowAReferenceUnderWeightedChurn) {
+  // The row list is the only membership record: contains(), weight(),
+  // servers() and server_count() must agree with a plain reference map
+  // after every weighted join and leave, servers() must keep join order,
+  // and a leave must drop every row its join stored (replicas included).
+  hd_table_config config = small_config();
+  config.capacity = 128;
+  hd_table table(default_hash(), config);
+  std::map<server_id, double> reference;
+  std::vector<server_id> join_order;
+  std::map<server_id, std::size_t> join_bytes;  // memory the join added
+  std::set<server_id> departed;
+  std::size_t rows = 0;
+  xoshiro256 rng(2027);
+
+  for (int step = 0; step < 400; ++step) {
+    const bool room = rows + 3 < config.capacity;
+    const bool join = reference.empty() || (room && uniform_below(rng, 2) == 0);
+    if (join) {
+      const server_id server = 1 + uniform_below(rng, 500);
+      if (reference.contains(server)) {
+        EXPECT_THROW(table.join(server), precondition_error);
+        continue;
+      }
+      const auto weight = static_cast<double>(1 + uniform_below(rng, 3));
+      const std::size_t before = table.stats().memory_bytes;
+      table.join(server, weight);
+      join_bytes[server] = table.stats().memory_bytes - before;
+      reference[server] = weight;
+      join_order.push_back(server);
+      departed.erase(server);
+      rows += static_cast<std::size_t>(weight);
+    } else {
+      const server_id server =
+          join_order[uniform_below(rng, join_order.size())];
+      const std::size_t before = table.stats().memory_bytes;
+      table.leave(server);
+      EXPECT_EQ(before - table.stats().memory_bytes, join_bytes[server])
+          << "leave of " << server << " left rows behind";
+      rows -= static_cast<std::size_t>(reference[server]);
+      reference.erase(server);
+      std::erase(join_order, server);
+      departed.insert(server);
+      EXPECT_THROW((void)table.weight(server), precondition_error);
+    }
+
+    ASSERT_EQ(table.server_count(), reference.size()) << "step " << step;
+    ASSERT_EQ(table.servers(), join_order) << "step " << step;
+    for (const auto& [server, weight] : reference) {
+      ASSERT_TRUE(table.contains(server)) << server;
+      ASSERT_EQ(table.weight(server), weight) << server;
+    }
+    for (const server_id server : departed) {
+      ASSERT_FALSE(table.contains(server)) << server;
+    }
+  }
+  EXPECT_FALSE(departed.empty());
+}
+
+TEST(HdTableTest, ReplicaRowKeysAreNeverMembers) {
+  // Pinning the replica-key derivation puts known ids on the replica
+  // rows: they are stored keys, but no membership query may treat them
+  // as servers, and they keep their ids reserved until their owner
+  // leaves.
+  testing::scripted_hash hash;
+  hash.pin_pair(7, 1, 9001);
+  hash.pin_pair(7, 2, 9002);
+  hd_table table(hash, small_config());
+  table.join(7, 3.0);
+  table.join(8);
+  EXPECT_EQ(table.weight(7), 3.0);
+  EXPECT_EQ(table.server_count(), 2u);
+  EXPECT_EQ(table.servers(), (std::vector<server_id>{7, 8}));
+  for (const server_id replica : {server_id{9001}, server_id{9002}}) {
+    EXPECT_FALSE(table.contains(replica));
+    EXPECT_THROW((void)table.weight(replica), precondition_error);
+    EXPECT_THROW(table.leave(replica), precondition_error);
+    EXPECT_THROW(table.join(replica), precondition_error);
+  }
+  table.leave(7);
+  table.join(9001);
+  EXPECT_TRUE(table.contains(9001));
+  EXPECT_EQ(table.servers(), (std::vector<server_id>{8, 9001}));
 }
 
 TEST(HdTableTest, ConfigAccessors) {

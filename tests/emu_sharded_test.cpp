@@ -4,6 +4,8 @@
 /// and are the primary TSan target (-DHDHASH_SANITIZE=thread).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <vector>
 
 #include "emu/emulator.hpp"
@@ -37,6 +39,86 @@ sharded_emulator::table_factory factory_for(std::string_view algorithm) {
     return make_table(algorithm, fast_options());
   };
 }
+
+/// Live-epoch accounting shared by every table of one run.
+struct epoch_census {
+  std::atomic<std::int64_t> live{0};
+  std::atomic<std::int64_t> peak{0};
+};
+
+/// Forwards every call to a wrapped table; snapshot() wraps each
+/// published table so the census counts it as live until its last
+/// holder drops it.
+class census_table final : public dynamic_table {
+ public:
+  census_table(std::unique_ptr<dynamic_table> inner,
+               std::shared_ptr<epoch_census> census)
+      : mutable_(inner.get()),
+        view_(std::move(inner)),
+        census_(std::move(census)) {}
+  ~census_table() override {
+    if (mutable_ == nullptr) {
+      census_->live.fetch_sub(1, std::memory_order_relaxed);
+    }
+  }
+  census_table(const census_table&) = delete;
+  census_table& operator=(const census_table&) = delete;
+
+  void join(server_id server, double weight = 1.0) override {
+    writable().join(server, weight);
+  }
+  void leave(server_id server) override { writable().leave(server); }
+  server_id lookup(request_id request) const override {
+    return view_->lookup(request);
+  }
+  void lookup_batch(std::span<const request_id> requests,
+                    std::span<server_id> out) const override {
+    view_->lookup_batch(requests, out);
+  }
+  using dynamic_table::lookup_batch;
+  double weight(server_id server) const override {
+    return view_->weight(server);
+  }
+  table_stats stats() const override { return view_->stats(); }
+  bool contains(server_id server) const override {
+    return view_->contains(server);
+  }
+  std::size_t server_count() const override { return view_->server_count(); }
+  std::vector<server_id> servers() const override { return view_->servers(); }
+  std::string_view name() const noexcept override { return view_->name(); }
+  std::unique_ptr<dynamic_table> clone() const override {
+    return view_->clone();
+  }
+  std::shared_ptr<const dynamic_table> snapshot() const override {
+    return std::shared_ptr<const dynamic_table>(
+        new census_table(view_->snapshot(), census_));
+  }
+  std::vector<memory_region> fault_regions() override {
+    return writable().fault_regions();
+  }
+
+ private:
+  /// A published table: counted live from here to its destructor.
+  census_table(std::shared_ptr<const dynamic_table> published,
+               std::shared_ptr<epoch_census> census)
+      : view_(std::move(published)), census_(std::move(census)) {
+    const std::int64_t live =
+        census_->live.fetch_add(1, std::memory_order_relaxed) + 1;
+    std::int64_t peak = census_->peak.load(std::memory_order_relaxed);
+    while (live > peak && !census_->peak.compare_exchange_weak(
+                              peak, live, std::memory_order_relaxed)) {
+    }
+  }
+
+  dynamic_table& writable() {
+    HDHASH_REQUIRE(mutable_ != nullptr, "published tables are immutable");
+    return *mutable_;
+  }
+
+  dynamic_table* mutable_ = nullptr;  // null for published tables
+  std::shared_ptr<const dynamic_table> view_;
+  std::shared_ptr<epoch_census> census_;
+};
 
 TEST(ShardedEmulatorTest, MergedStatsEqualSingleTableReference) {
   const generator gen(churn_workload());
@@ -233,6 +315,47 @@ TEST(ShardedEmulatorTest, MultiProducerMeshStaysDeterministic) {
       EXPECT_EQ(report.producer_workers.size(), producers);
     }
   }
+}
+
+TEST(ShardedEmulatorTest, RetiredEpochsDrainWhileTheRunIsInFlight) {
+  // One producer routes each request as soon as its epoch is published,
+  // so an epoch lives only while some batch in the pipeline still
+  // carries its requests — not until the whole stream has been routed.
+  workload_config workload = churn_workload();
+  workload.initial_servers = 16;
+  workload.request_count = 30'000;
+  workload.churn_rate = 0.05;
+  const auto events = generator(workload).generate();
+  table_options options = fast_options();
+  options.hd.slot_cache = true;
+  auto reference_table = make_table("hd-hierarchical", options);
+  emulator reference(*reference_table, 256);
+  const run_stats expected = reference.run(events);
+
+  auto census = std::make_shared<epoch_census>();
+  sharded_config config;
+  config.shards = 2;
+  config.producers = 1;
+  config.buffer_capacity = 16;
+  config.channel_depth = 2;
+  sharded_emulator emu(
+      [&options, &census](std::size_t) {
+        return std::make_unique<census_table>(
+            make_table("hd-hierarchical", options), census);
+      },
+      config);
+  const sharded_report report = emu.run(events);
+  EXPECT_EQ(report.merged.load, expected.load);
+  ASSERT_GT(report.snapshots_published, 1000u);
+  // In flight per shard: the batch being filled, channel_depth queued
+  // batches and the batch being decoded, each holding at most
+  // buffer_capacity epoch segments; plus the publisher's current epoch.
+  const std::size_t in_flight = config.shards * (config.channel_depth + 2) *
+                                    config.buffer_capacity +
+                                1;
+  EXPECT_LE(static_cast<std::size_t>(census->peak.load()), in_flight);
+  // After the run only the publisher's current epoch is left.
+  EXPECT_EQ(census->live.load(), 1);
 }
 
 TEST(ShardedEmulatorTest, MutexChannelProducesIdenticalResults) {

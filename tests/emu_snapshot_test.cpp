@@ -26,6 +26,7 @@
 #include "fault/injector.hpp"
 #include "hashing/registry.hpp"
 #include "util/require.hpp"
+#include "util/rng.hpp"
 
 namespace hdhash {
 namespace {
@@ -277,13 +278,35 @@ TEST(TableSnapshotTest, CloneOfASnapshotIsIndependentlyMutable) {
   }
 }
 
-TEST(SlotCacheMaintenanceTest, MaintainedCacheEqualsColdDecodeUnderChurn) {
-  // The incremental maintenance contract: after any join/leave history,
-  // a cached table answers bit-identically to an uncached twin.  This
-  // is the invariant the sharded determinism check rides on.
-  hd_table_config cached_config;
-  cached_config.dimension = 1024;
-  cached_config.capacity = 128;
+/// Flips the same seeded bits in both tables' rows (equal histories
+/// store rows in the same order), through the fault surface.
+void corrupt_identically(hd_table& a, hd_table& b, std::uint64_t seed) {
+  const auto rows_a = a.fault_regions();
+  const auto rows_b = b.fault_regions();
+  ASSERT_EQ(rows_a.size(), rows_b.size());
+  xoshiro256 rng(seed);
+  for (std::size_t r = 0; r < rows_a.size(); ++r) {
+    // Up to two lattice steps of flips: enough to move rows across
+    // lattice levels, so incumbents carry distances off the circle's
+    // profile.
+    const std::size_t bits = rows_a[r].bytes.size() * 8;
+    const std::uint64_t flips = uniform_below(rng, 17);
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      const std::size_t bit = uniform_below(rng, bits);
+      const auto mask = static_cast<std::byte>(1u << (bit % 8));
+      rows_a[r].bytes[bit / 8] ^= mask;
+      rows_b[r].bytes[bit / 8] ^= mask;
+    }
+  }
+}
+
+/// The incremental maintenance contract under one configuration: after
+/// any join/leave history, a cached table answers bit-identically to an
+/// uncached twin.  With `faults`, every row is corrupted after the join
+/// burst, so cached incumbents carry measured distances while the rows
+/// that join later are fresh circle vectors.
+void expect_maintained_cache_equals_cold_decode(hd_table_config cached_config,
+                                                bool faults) {
   cached_config.slot_cache = true;
   hd_table_config plain_config = cached_config;
   plain_config.slot_cache = false;
@@ -318,10 +341,17 @@ TEST(SlotCacheMaintenanceTest, MaintainedCacheEqualsColdDecodeUnderChurn) {
   }
   cached.warm_slot_cache();
   check("after join burst");
+  if (faults) {
+    corrupt_identically(cached, plain, 5);
+    cached.warm_slot_cache();
+    check("after corruption");
+  }
 
   // Interleave joins and leaves with lookups so every maintenance path
   // runs against a warm cache: join-beats-incumbent, leave-invalidation
-  // and lazy re-decode.
+  // and lazy re-decode.  The small ids win key ties against incumbents
+  // at the same distance, so an off-by-one in a newcomer's distance
+  // shows wherever lattice decoding is off.
   for (int round = 0; round < 6; ++round) {
     const server_id leaver = (round * 3 + 1) * 17;
     cached.leave(leaver);
@@ -331,12 +361,48 @@ TEST(SlotCacheMaintenanceTest, MaintainedCacheEqualsColdDecodeUnderChurn) {
     cached.join(joiner);
     plain.join(joiner);
     check("after join");
+    const server_id small_joiner = 1 + round;
+    cached.join(small_joiner);
+    plain.join(small_joiner);
+    check("after small-id join");
   }
 
   // Weighted joins exercise multi-row maintenance (replica rows).
   cached.join(77'777, 3.0);
   plain.join(77'777, 3.0);
   check("after weighted join");
+}
+
+TEST(SlotCacheMaintenanceTest, MaintainedCacheEqualsColdDecodeUnderChurn) {
+  // fresh_bits prices a joining row by circle geometry, independent by
+  // popcount; both must keep every entry equal to a cold decode — on an
+  // even circle and an odd one (the doubled construction of the paper's
+  // footnote 1), with lattice decoding on and off (off, every bit of a
+  // distance decides), with and without corrupted incumbents.
+  for (const auto policy :
+       {hdc::flip_policy::fresh_bits, hdc::flip_policy::independent}) {
+    for (const std::size_t capacity : {std::size_t{128}, std::size_t{127}}) {
+      for (const bool lattice : {true, false}) {
+        for (const bool faults : {false, true}) {
+          hd_table_config config;
+          config.dimension = 1024;
+          config.capacity = capacity;
+          config.policy = policy;
+          config.lattice_decode = lattice;
+          SCOPED_TRACE(::testing::Message()
+                       << (policy == hdc::flip_policy::fresh_bits
+                               ? "fresh_bits"
+                               : "independent")
+                       << " n=" << capacity << " lattice=" << lattice
+                       << " faults=" << faults);
+          expect_maintained_cache_equals_cold_decode(config, faults);
+          if (HasFatalFailure()) {
+            return;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SnapshotPublisherTest, PublishesLazilyOncePerObservedEpoch) {
