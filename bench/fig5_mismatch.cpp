@@ -13,7 +13,8 @@
 /// workload's request stream runs through 1..N shards (powers of two)
 /// with every shard carrying a pristine shadow oracle — merged
 /// mismatches must stay zero and the merged load histogram must match
-/// the single-table reference at every shard count.
+/// the single-table reference at every shard count (the run exits 1
+/// when a point misses the reference).
 #include <cstdio>
 #include <iostream>
 
@@ -101,7 +102,9 @@ void run_mcu_headline() {
   std::printf("(paper: consistent 12%%, rendezvous 4%%, HD 0%% at 10 bits)\n");
 }
 
-void run_sharded_shadow_panel(std::size_t max_shards) {
+/// Prints the sharded shadow panel; false when any point's merged
+/// histogram misses the single-table reference.
+bool run_sharded_shadow_panel(std::size_t max_shards) {
   shard_sweep_config config;
   config.shard_counts = shard_count_sweep(max_shards);
   config.servers = 128;
@@ -118,7 +121,9 @@ void run_sharded_shadow_panel(std::size_t max_shards) {
   table_printer table({"shards", "requests", "mismatches", "aggregate req/s",
                        "deterministic"});
   const auto series = run_shard_sweep("hd-hierarchical", config, options);
+  bool deterministic = true;
   for (const shard_sweep_point& p : series) {
+    deterministic = deterministic && p.matches_reference;
     table.add_row({std::to_string(p.shards), std::to_string(p.merged.requests),
                    std::to_string(p.merged.mismatches),
                    format_double(p.aggregate_requests_per_second, 0),
@@ -126,11 +131,12 @@ void run_sharded_shadow_panel(std::size_t max_shards) {
   }
   table.print(std::cout);
   std::printf(
-      "(snapshot mode: a pristine twin publisher advances epochs in\n"
-      "lockstep with the primary, so every shard checks its answers\n"
-      "against the matching shadow snapshot; zero mismatches certify the\n"
-      "partition/publication plumbing, and 'deterministic' the merged\n"
-      "histogram against the reference)\n");
+      "(a pristine twin publisher advances epochs in lockstep with the\n"
+      "primary, so every shard checks its answers against the matching\n"
+      "shadow snapshot; zero mismatches certify the partition/publication\n"
+      "plumbing, and 'deterministic' the merged histogram against the\n"
+      "reference)\n");
+  return deterministic;
 }
 
 }  // namespace
@@ -149,12 +155,16 @@ int main(int argc, char** argv) {
   run_panel(512, 5000, 8);
   run_panel(2048, 1500, 2);
   run_mcu_headline();
-  if (opts.shards >= 1) {
-    run_sharded_shadow_panel(opts.shards);
-  }
+  const bool deterministic =
+      opts.shards < 1 || run_sharded_shadow_panel(opts.shards);
   std::printf(
       "\nShape check (paper): HD hashing stays at 0.00%% across the sweep;\n"
       "rendezvous loses ~2x flips/k of requests; consistent hashing (rank\n"
       "resolution) is the most fragile, with heavy-tailed losses.\n");
+  if (!deterministic) {
+    std::fprintf(stderr,
+                 "sharded run missed the single-table reference\n");
+    return 1;
+  }
   return 0;
 }

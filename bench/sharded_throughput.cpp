@@ -1,34 +1,30 @@
 /// Sharded-emulator throughput: aggregate requests/sec versus shard
 /// count (1–16) on hd-hierarchical, with the determinism check that the
 /// merged load histogram is bit-identical to the single-table reference
-/// run.  Emits BENCH_sharded_emulator.json for the perf trajectory.
+/// run.  Emits BENCH_sharded_emulator.json for the perf trajectory and
+/// exits 1 when any point misses the reference.
 ///
-/// Five series are recorded, crossing membership mode × churn ×
-/// placement:
-///  * results / results_churn — epoch-published snapshot mode (the
-///    default architecture since PR 4): one producer-owned table,
-///    membership applied once per event, each epoch published as an
-///    immutable copy-on-write snapshot carrying the maintained slot
-///    cache that every shard shares.  Churn subdivides batches into
-///    epoch segments instead of truncating them, and the slot array is
-///    maintained incrementally (O(n) row distances per event), so the
-///    churn series tracks the clean one closely.  Workers run under the
-///    default placement policy (compact — pinned one per allowed CPU in
-///    NUMA-node order; --pin/HDHASH_PIN override).
-///  * results_replicated / results_replicated_churn — the PR-2 pipeline
-///    (one full replica per shard, membership broadcast): the baseline
-///    that pays the churn tax, kept for comparison.
-///  * results_unpinned — the snapshot clean sweep re-run under policy
-///    `none` (OS scheduler placement): together with `results` this is
-///    the delivered-vs-service scaling comparison per placement policy,
+/// Four series are recorded, crossing churn × placement × producers:
+///  * results / results_churn — the epoch-published snapshot pipeline:
+///    one producer-owned table, membership applied once per event, each
+///    epoch published as an immutable copy-on-write snapshot carrying
+///    the maintained slot cache that every shard shares.  Churn
+///    subdivides batches into epoch segments instead of truncating
+///    them, and the slot array is maintained incrementally (O(n) row
+///    distances per event).  Workers run under the default placement
+///    policy (compact — pinned one per allowed CPU in NUMA-node order;
+///    --pin/HDHASH_PIN override).
+///  * results_unpinned — the clean sweep re-run under policy `none`
+///    (OS scheduler placement): together with `results` this is the
+///    delivered-vs-service scaling comparison per placement policy,
 ///    summarized in `placement_scaling`.  When the main series already
 ///    runs unpinned (--pin=none), the ablation collapses onto it
 ///    instead of running the identical sweep twice.
-///  * results_multi_producer — the snapshot clean sweep with M pinned
-///    producer threads feeding the lock-free SPSC ingest mesh
-///    (--producers, default 2): same determinism bar as the single-
-///    producer series, measuring what parallel partition/encode buys
-///    when the producer side stops being the bottleneck.
+///  * results_multi_producer — the clean sweep with M pinned producer
+///    threads feeding the lock-free SPSC ingest mesh (--producers,
+///    default 2): same determinism bar as the single-producer series,
+///    measuring what parallel partition/encode buys when the producer
+///    side stops being the bottleneck.
 ///
 /// Two rates per point:
 ///  * aggregate_rps — the sum of per-shard service rates, each metered
@@ -39,8 +35,8 @@
 ///    topology — including the allowed-cpuset size, which on a
 ///    cgroup-restricted CI runner is what actually bounds delivered
 ///    scaling — so a 1-core box is readable as such.
-/// Plus table_memory_bytes: N full replicas in replicated mode versus
-/// ~one table + snapshot bookkeeping in snapshot mode.
+/// Plus table_memory_bytes: ~one table + snapshot bookkeeping, whatever
+/// the shard count.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -58,18 +54,14 @@ namespace {
 using namespace hdhash;
 
 shard_sweep_config sweep_config(std::size_t requests, double churn,
-                                membership_mode membership,
                                 runtime::placement_policy placement,
-                                channel_kind channel,
                                 std::size_t producers = 1) {
   shard_sweep_config config;
   config.shard_counts = {1, 2, 4, 8, 16};
   config.servers = 128;
   config.requests = requests;
   config.churn_rate = churn;
-  config.membership = membership;
   config.placement = placement;
-  config.channel = channel;
   config.producers = producers;
   return config;
 }
@@ -80,13 +72,9 @@ std::vector<shard_sweep_point> run_and_print(const shard_sweep_config& config,
   options.hd.capacity = 512;  // hierarchical shards get capacity/groups*2
   const auto series = run_shard_sweep("hd-hierarchical", config, options);
 
-  const char* mode = config.membership == membership_mode::snapshot
-                         ? "snapshot"
-                         : "replicated";
   std::printf(
-      "\n-- %s (%s membership, %.1f%% churn, placement %s, "
-      "%zu producer(s)) --\n",
-      title, mode, 100.0 * config.churn_rate,
+      "\n-- %s (%.1f%% churn, placement %s, %zu producer(s)) --\n",
+      title, 100.0 * config.churn_rate,
       std::string(runtime::to_string(config.placement)).c_str(),
       config.producers);
   table_printer table({"shards", "aggregate req/s", "speedup", "wall req/s",
@@ -179,44 +167,32 @@ int main(int argc, char** argv) {
     return 1;
   }
   const runtime::placement_policy policy = opts.placement;
-  const channel_kind channel = opts.channel;
   // The multi-producer series runs M pinned producer threads feeding
   // the SPSC ingest mesh; --producers overrides the default of 2.
   const std::size_t multi_producers =
       opts.producers > 1 ? opts.producers : 2;
 
   const runtime::cpu_topology& topo = runtime::host_topology();
-  const auto snap =
-      sweep_config(requests, 0.0, membership_mode::snapshot, policy, channel);
+  const auto snap = sweep_config(requests, 0.0, policy);
   std::printf(
       "== Sharded emulator throughput (hd-hierarchical, %zu servers,\n"
-      "   %zu requests, per-shard batch %zu, %s channels) ==\n"
+      "   %zu requests, per-shard batch %zu) ==\n"
       "topology: %zu package(s), %zu NUMA node(s), %zu physical core(s),\n"
       "   %zu logical CPU(s), %zu allowed by cpuset; pinning %s\n",
-      snap.servers, snap.requests, snap.buffer_capacity,
-      std::string(to_string(channel)).c_str(), topo.packages(),
+      snap.servers, snap.requests, snap.buffer_capacity, topo.packages(),
       topo.numa_nodes(), topo.physical_cores(), topo.logical_cpus(),
       topo.allowed_cpus().size(),
       runtime::worker_pool::pinning_supported() ? "supported" : "unsupported");
 
-  const auto snap_churn =
-      sweep_config(requests, 0.01, membership_mode::snapshot, policy, channel);
-  const auto repl = sweep_config(requests, 0.0, membership_mode::replicated,
-                                 policy, channel);
-  const auto repl_churn = sweep_config(
-      requests, 0.01, membership_mode::replicated, policy, channel);
-  const auto multi = sweep_config(requests, 0.0, membership_mode::snapshot,
-                                  policy, channel, multi_producers);
+  const auto snap_churn = sweep_config(requests, 0.01, policy);
+  const auto multi = sweep_config(requests, 0.0, policy, multi_producers);
 
   const auto snap_series = run_and_print(snap, "request traffic only");
   const auto snap_churn_series =
       run_and_print(snap_churn, "with membership churn");
-  const auto repl_series = run_and_print(repl, "request traffic only");
-  const auto repl_churn_series =
-      run_and_print(repl_churn, "with membership churn");
   const auto multi_series =
       run_and_print(multi, "multi-producer ingest mesh");
-  // The pinning ablation: the snapshot clean sweep under `none`.  When
+  // The pinning ablation: the clean sweep under `none`.  When
   // the main series already runs unpinned (--pin=none / HDHASH_PIN),
   // re-running it would duplicate both the work and the JSON entry, so
   // the ablation collapses onto the main series.
@@ -225,20 +201,15 @@ int main(int argc, char** argv) {
       main_is_unpinned
           ? snap_series
           : run_and_print(sweep_config(requests, 0.0,
-                                       membership_mode::snapshot,
-                                       runtime::placement_policy::none,
-                                       channel),
+                                       runtime::placement_policy::none),
                           "request traffic only, unpinned");
   std::printf(
       "\nAggregate req/s sums each shard's service rate on its own CPU\n"
       "clock (the capacity of one core per shard); wall req/s is the\n"
-      "delivered rate and saturates at the allowed-cpuset size.  In\n"
-      "snapshot mode all shards resolve against one epoch-published\n"
-      "copy-on-write snapshot (table memory ~independent of the shard\n"
-      "count) and churn only subdivides batches into epoch segments; in\n"
-      "replicated mode broadcast membership events segment every\n"
-      "shard's batches and table memory grows N-fold — the churn tax\n"
-      "the snapshot architecture retires.\n"
+      "delivered rate and saturates at the allowed-cpuset size.  All\n"
+      "shards resolve against one epoch-published copy-on-write\n"
+      "snapshot (table memory ~independent of the shard count), and\n"
+      "churn only subdivides batches into epoch segments.\n"
       "\nDelivered-vs-service scaling per placement policy:\n");
 
   std::FILE* out = std::fopen(json_path.c_str(), "w");
@@ -252,10 +223,8 @@ int main(int argc, char** argv) {
                "  \"algorithm\": \"hd-hierarchical\",\n"
                "  \"servers\": %zu,\n"
                "  \"requests\": %zu,\n"
-               "  \"results_membership_mode\": \"snapshot\",\n"
                "  \"results_churn_rate\": %.4f,\n"
                "  \"shard_buffer_capacity\": %zu,\n"
-               "  \"channel\": \"%s\",\n"
                "  \"multi_producer_count\": %zu,\n"
                "  \"placement_policy\": \"%s\",\n"
                "  \"hardware_cores\": %u,\n"
@@ -264,8 +233,7 @@ int main(int argc, char** argv) {
                "\"allowed_cpus\": %zu, \"smt_per_core\": %zu, "
                "\"pinning_supported\": %s, \"from_sysfs\": %s},\n",
                snap.servers, snap.requests, snap_churn.churn_rate,
-               snap.buffer_capacity, std::string(to_string(channel)).c_str(),
-               multi_producers,
+               snap.buffer_capacity, multi_producers,
                std::string(runtime::to_string(policy)).c_str(),
                std::thread::hardware_concurrency(), topo.packages(),
                topo.numa_nodes(), topo.physical_cores(), topo.logical_cpus(),
@@ -281,12 +249,25 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  ],\n");
   emit_series(out, "results", snap_series, ",");
   emit_series(out, "results_churn", snap_churn_series, ",");
-  emit_series(out, "results_replicated", repl_series, ",");
-  emit_series(out, "results_replicated_churn", repl_churn_series, ",");
   emit_series(out, "results_multi_producer", multi_series, ",");
   emit_series(out, "results_unpinned", unpinned_series, "");
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", json_path.c_str());
+
+  bool deterministic = true;
+  for (const auto* series : {&snap_series, &snap_churn_series, &multi_series,
+                             &unpinned_series}) {
+    for (const shard_sweep_point& p : *series) {
+      deterministic = deterministic && p.matches_reference;
+    }
+  }
+  if (!deterministic) {
+    std::fprintf(stderr,
+                 "a sharded point missed the single-table reference "
+                 "(deterministic=false in %s)\n",
+                 json_path.c_str());
+    return 1;
+  }
   return 0;
 }

@@ -8,7 +8,8 @@
 /// sharded, double-buffered emulator at 1..N shards (powers of two),
 /// verifying that the merged load histogram under heavy membership churn
 /// stays bit-identical to the single-table reference at every shard
-/// count, and reporting each point's aggregate service rate.
+/// count, and reporting each point's aggregate service rate.  The run
+/// exits 1 when any point misses the reference.
 #include <cstdio>
 #include <iostream>
 
@@ -20,7 +21,9 @@ namespace {
 
 using namespace hdhash;
 
-void run_sharded_churn_panel(std::size_t max_shards) {
+/// Prints the sharded churn panel; false when any point's merged
+/// histogram misses the single-table reference.
+bool run_sharded_churn_panel(std::size_t max_shards) {
   shard_sweep_config config;
   config.shard_counts = shard_count_sweep(max_shards);
   config.servers = 64;
@@ -37,7 +40,9 @@ void run_sharded_churn_panel(std::size_t max_shards) {
   const auto series = run_shard_sweep("hd-hierarchical", config, options);
   table_printer table({"shards", "joins", "leaves", "aggregate req/s",
                        "speedup", "deterministic"});
+  bool deterministic = true;
   for (const shard_sweep_point& p : series) {
+    deterministic = deterministic && p.matches_reference;
     table.add_row({std::to_string(p.shards), std::to_string(p.merged.joins),
                    std::to_string(p.merged.leaves),
                    format_double(p.aggregate_requests_per_second, 0),
@@ -50,6 +55,7 @@ void run_sharded_churn_panel(std::size_t max_shards) {
       "each epoch is shared with every shard, so churn disrupts the\n"
       "sharded pipeline exactly as it disrupts the single table —\n"
       "'deterministic' asserts the histograms agree)\n");
+  return deterministic;
 }
 
 }  // namespace
@@ -84,8 +90,10 @@ int main(int argc, char** argv) {
       "failure); consistent, rendezvous and HD match their minima exactly;\n"
       "jump adds one backfilled slot on leave; maglev is near-minimal.\n");
 
-  if (opts.shards >= 1) {
-    run_sharded_churn_panel(opts.shards);
+  if (opts.shards >= 1 && !run_sharded_churn_panel(opts.shards)) {
+    std::fprintf(stderr,
+                 "sharded run missed the single-table reference\n");
+    return 1;
   }
   return 0;
 }

@@ -3,7 +3,6 @@
 ///
 ///   net_server [--port P] [--io N] [--shards N|auto] [--servers K]
 ///              [--pin <none|compact|scatter|smt-aware>]
-///              [--channel <ring|mutex>]
 ///
 /// Binds 127.0.0.1:7700 by default, pre-joins K servers (ids 1..K) so
 /// ROUTE works immediately, then serves until SIGINT/SIGTERM — at
@@ -79,7 +78,6 @@ int main(int argc, char** argv) {
   config.shards = opts.shards_set && !opts.shards_auto ? opts.shards
                                                        : split.shards;
   config.placement = opts.placement;
-  config.channel = opts.channel;
 
   table_options options;
   options.hd.dimension = 4096;
@@ -92,17 +90,14 @@ int main(int argc, char** argv) {
     server.router().join(static_cast<server_id>(s));
   }
 
-  const net::io_backend_probe& probe = server.probe();
   std::printf(
       "hdhash net_server listening on %s:%u\n"
       "  io threads %zu, shards %zu, placement %s\n"
-      "  backend %s (io_uring probe: %s), %zu server(s) pre-joined\n"
+      "  %zu server(s) pre-joined\n"
       "  stop with SIGINT/SIGTERM (graceful drain)\n",
       server.config().bind_address.c_str(), server.port(),
       config.io_threads, config.shards,
-      std::string(runtime::to_string(config.placement)).c_str(),
-      std::string(net::to_string(server.backend())).c_str(),
-      probe.uring_supported ? "supported" : "unsupported", servers);
+      std::string(runtime::to_string(config.placement)).c_str(), servers);
   std::fflush(stdout);
 
   std::signal(SIGINT, handle_stop_signal);

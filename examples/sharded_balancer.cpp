@@ -4,14 +4,12 @@
 /// merged statistics are proven identical to a single-table run of the
 /// same stream.
 ///
-/// By default the balancer runs in *snapshot* membership mode — the
-/// epoch-published shared-state architecture: one producer-owned
-/// hd-hierarchical table absorbs joins/leaves, each membership epoch is
-/// published once as an immutable copy-on-write snapshot, and every
-/// shard worker resolves its requests against the snapshot of the epoch
-/// they arrived under.  Pass --replicated to run the PR-2 pipeline (one
-/// full table replica per shard, membership broadcast to all) and watch
-/// the table-memory column grow with the shard count.  Pass --scenario
+/// The pipeline is the epoch-published shared-state architecture: one
+/// producer-owned hd-hierarchical table absorbs joins/leaves, each
+/// membership epoch is published once as an immutable copy-on-write
+/// snapshot, and every shard worker resolves its requests against the
+/// snapshot of the epoch they arrived under, so the table-memory column
+/// stays flat as the shard count grows.  Pass --scenario
 /// <name> to replace the default Zipf/churn workload with a compiled
 /// production playbook (steady, diurnal, flash-crowd, rack-failure,
 /// rolling-upgrade, grey-server) — the scenario engine emits the same
@@ -34,7 +32,7 @@
 int main(int argc, char** argv) {
   using namespace hdhash;
   // One parser for every emulator knob: --shards N|auto, --producers
-  // M|auto, --pin <policy>, --replicated, --channel ring|mutex.
+  // M|auto, --pin <policy>, --mem <backing>, --scenario <name>.
   const emulator_options opts = parse_emulator_options(argc, argv);
   if (!opts.ok()) {
     for (const std::string& error : opts.errors) {
@@ -42,7 +40,6 @@ int main(int argc, char** argv) {
     }
     return 1;
   }
-  const bool replicated = opts.membership == membership_mode::replicated;
   const std::vector<std::size_t> shard_counts =
       opts.shards_set ? shard_count_sweep(opts.shards)
                       : std::vector<std::size_t>{1, 2, 4, 8};
@@ -53,12 +50,11 @@ int main(int argc, char** argv) {
                         : "Zipf traffic, 1% churn";
   std::printf(
       "== Sharded balancer: %s, hd-hierarchical,\n"
-      "   %s membership%s, placement %s, %zu producer(s), %s channels ==\n"
+      "   placement %s, %zu producer(s) ==\n"
       "   (topology: %zu core(s), %zu allowed CPU(s), %zu NUMA node(s)%s)\n\n",
-      workload_label.c_str(), replicated ? "replicated" : "snapshot",
-      replicated ? "" : " (pass --replicated for the PR-2 pipeline)",
+      workload_label.c_str(),
       std::string(runtime::to_string(opts.placement)).c_str(), opts.producers,
-      std::string(to_string(opts.channel)).c_str(), topo.physical_cores(),
+      topo.physical_cores(),
       topo.allowed_cpus().size(), topo.numa_nodes(),
       opts.shards_auto ? ", --shards auto" : "");
 
@@ -87,13 +83,11 @@ int main(int argc, char** argv) {
   table_options options;
   options.hd.dimension = 4096;
   options.hd.capacity = capacity_floor;
-  // Snapshot mode publishes the maintained slot cache with each epoch
-  // (the accelerator steady state all shards share); the reference run
-  // below keeps it off, so 'identical' also certifies the cache.
+  // Each epoch publishes the maintained slot cache (the accelerator
+  // steady state all shards share); the reference run below keeps it
+  // off, so 'identical' also certifies the cache.
   table_options sharded_options = options;
-  if (opts.membership == membership_mode::snapshot) {
-    sharded_options.hd.slot_cache = true;
-  }
+  sharded_options.hd.slot_cache = true;
   auto factory = [&sharded_options](std::size_t) {
     return make_table("hd-hierarchical", sharded_options);
   };
@@ -138,12 +132,8 @@ int main(int argc, char** argv) {
       "\nEvery row answers the same %zu-request stream; 'identical' checks\n"
       "the merged per-server load histogram against the single-table\n"
       "reference run — sharding changes throughput, never assignments.\n"
-      "%s",
-      expected.requests,
-      replicated
-          ? "Replicated mode: table KiB grows with the shard count (one\n"
-            "full replica per worker).\n"
-          : "Snapshot mode: table KiB stays ~flat — all workers share one\n"
-            "epoch-published copy-on-write snapshot.\n");
+      "Table KiB stays ~flat: all workers share one epoch-published\n"
+      "copy-on-write snapshot.\n",
+      expected.requests);
   return 0;
 }

@@ -6,31 +6,23 @@ Compares a freshly emitted benchmark JSON (``bench_micro_ops
 any batch panel regresses by more than the threshold.
 
 ``BENCH_sharded_emulator.json`` files (``bench_sharded_throughput``)
-are *accepted but never gated*: thread scheduling on shared CI runners
-is too noisy to fail a job over, so when either input identifies
-itself as the sharded benchmark the script prints a report-only
-comparison (per-series aggregate speedups, placement scaling, the
-recorded topology, the clean/churn wall-rate ratio per shard count)
-and exits 0.  This lets CI run one check step over both trajectory
-files and upload both as artifacts.
+are *never gated on speed*: thread scheduling on shared CI runners is
+too noisy to fail a job over, so when either input identifies itself
+as the sharded benchmark the script prints a report-only comparison
+(per-series aggregate speedups, placement scaling, the recorded
+topology, the clean/churn wall-rate ratio per shard count).  It does
+fail (exit 1) when any fresh entry records ``"deterministic": false``:
+a sharded run that misses the single-table reference is a wrong
+answer, not noise.
 
-``BENCH_net_frontend.json`` files (``bench_net_frontend``) are handled
-the same way: report-only (loopback TCP throughput is even noisier
-than in-process threading), printing delivered req/s and the reply
-latency percentiles.  ``BENCH_channel.json`` files (``bench_channel``)
-are likewise report-only, printing the ring-vs-mutex hand-off speedup
-per scenario, and ``BENCH_scenarios.json`` files (``bench_scenarios``)
-print per-cell disruption / load-balance / recovery drift — the matrix
-is deterministic, so drift means the workload or an algorithm changed,
+``BENCH_scenarios.json`` files (``bench_scenarios``) print per-cell
+disruption / load-balance / recovery drift — the matrix is
+deterministic, so drift means the workload or an algorithm changed,
 but robustness characterisation is never a perf gate.
 ``BENCH_allocator.json`` files (``bench_alloc``) are report-only too:
 they print the arena-vs-heap panels and the backing mode each run
 landed on (huge/thp/page), which decides whether the numbers are even
-comparable.  Pass
-``--sharded-ref <BENCH_sharded_emulator
-.json>`` to also print the delivered-vs-service comparison line — how
-much of the in-process shard pipeline's service rate the socket path
-delivers end to end.
+comparable.
 
 Two comparison modes:
 
@@ -87,10 +79,25 @@ def is_sharded(doc: dict) -> bool:
     return doc.get("benchmark") == SHARDED_BENCHMARK
 
 
+def nondeterministic_entries(doc: dict) -> list[str]:
+    """Labels of every series entry that records ``"deterministic":
+    false`` (a merged histogram that missed the single-table
+    reference)."""
+    missed = []
+    for key, series in sorted(doc.items()):
+        if not isinstance(series, list):
+            continue
+        for entry in series:
+            if isinstance(entry, dict) and entry.get("deterministic") is False:
+                missed.append(f"{key} shards={entry.get('shards')}")
+    return missed
+
+
 def report_sharded(base: dict, fresh: dict) -> int:
-    """Report-only comparison of two sharded-emulator JSONs (exit 0)."""
-    print("check_bench: sharded-emulator trajectory — report only, "
-          "never gated (scheduling noise on shared runners)")
+    """Report-only speed comparison of two sharded-emulator JSONs; exit
+    1 when a fresh entry missed the determinism reference, else 0."""
+    print("check_bench: sharded-emulator trajectory — speed is report "
+          "only, never gated (scheduling noise on shared runners)")
     topo = fresh.get("topology", {})
     if topo:
         print(
@@ -135,7 +142,16 @@ def report_sharded(base: dict, fresh: dict) -> int:
             f"delivered x{entry.get('delivered_speedup', 0.0):.2f} "
             f"at {entry.get('shards', '?')} shards"
         )
-    print("check_bench: sharded trajectory accepted (not gated)")
+    missed = nondeterministic_entries(fresh)
+    if missed:
+        print(f"check_bench: {len(missed)} sharded entr"
+              f"{'y' if len(missed) == 1 else 'ies'} missed the "
+              "single-table reference (deterministic=false):")
+        for label in missed:
+            print(f"  - {label}")
+        return 1
+    print("check_bench: sharded trajectory accepted (speed not gated; "
+          "every entry deterministic)")
     return 0
 
 
@@ -163,60 +179,6 @@ def print_churn_gap(base: dict, fresh: dict) -> None:
             f"  [info] churn gap shards={shards}: clean/churn wall_rps "
             f"{base_gaps[shards]:.2f} -> {fresh_gaps[shards]:.2f}"
         )
-
-
-CHANNEL_BENCHMARK = "channel"
-
-
-def is_channel(doc: dict) -> bool:
-    return doc.get("benchmark") == CHANNEL_BENCHMARK
-
-
-def report_channel(base: dict, fresh: dict) -> int:
-    """Report-only comparison of two channel JSONs (exit 0): per-scenario
-    ring-vs-mutex speedup, baseline vs fresh."""
-    print("check_bench: channel hand-off trajectory — report only, never "
-          "gated (thread hand-off latency on shared runners)")
-    topo = fresh.get("topology", {})
-    if topo:
-        print(
-            "  fresh topology: "
-            f"{topo.get('physical_cores', '?')} physical core(s), "
-            f"{topo.get('allowed_cpus', '?')} allowed CPU(s), "
-            f"{topo.get('numa_nodes', '?')} NUMA node(s)"
-        )
-
-    def speedups(doc: dict) -> dict:
-        rates: dict = {}
-        for entry in doc.get("results", []):
-            if not isinstance(entry, dict):
-                continue
-            key = (entry.get("scenario"), entry.get("kind"))
-            rates[key] = entry.get("items_per_second", 0.0)
-        out = {}
-        for (scenario, kind), rate in rates.items():
-            if kind != "ring":
-                continue
-            mutex_rate = rates.get((scenario, "mutex"), 0.0)
-            out[scenario] = rate / mutex_rate if mutex_rate else 0.0
-        return out
-
-    base_speedups = speedups(base)
-    fresh_speedups = speedups(fresh)
-    for scenario in sorted(set(base_speedups) | set(fresh_speedups)):
-        b = base_speedups.get(scenario)
-        f = fresh_speedups.get(scenario)
-        if f is None:
-            print(f"  note: fresh run lacks scenario {scenario}")
-            continue
-        base_note = f"baseline x{b:.2f} -> " if b is not None else ""
-        marker = "ok" if f >= 1.0 else "note"
-        print(
-            f"  [{marker:4s}] {scenario}: {base_note}ring is x{f:.2f} "
-            f"the mutex rate"
-        )
-    print("check_bench: channel trajectory accepted (not gated)")
-    return 0
 
 
 SCENARIOS_BENCHMARK = "scenarios"
@@ -341,73 +303,6 @@ def report_allocator(base: dict, fresh: dict) -> int:
     return 0
 
 
-NET_BENCHMARK = "net_frontend"
-
-
-def is_net(doc: dict) -> bool:
-    return doc.get("benchmark") == NET_BENCHMARK
-
-
-def report_net(base: dict, fresh: dict, sharded_ref: dict | None) -> int:
-    """Report-only comparison of two net-frontend JSONs (exit 0)."""
-    print("check_bench: net front-end trajectory — report only, never "
-          "gated (loopback TCP on shared runners)")
-    topo = fresh.get("topology", {})
-    if topo:
-        print(
-            "  fresh topology: "
-            f"{topo.get('physical_cores', '?')} physical core(s), "
-            f"{topo.get('allowed_cpus', '?')} allowed CPU(s), "
-            f"io_threads {fresh.get('io_threads', '?')}, "
-            f"shards {fresh.get('shards', '?')}, "
-            f"backend {fresh.get('io_backend', '?')} "
-            f"(io_uring {'available' if fresh.get('io_uring_supported') else 'unavailable'})"
-        )
-    base_results = base.get("results", {})
-    fresh_results = fresh.get("results", {})
-    if isinstance(base_results, dict) and isinstance(fresh_results, dict):
-        b = base_results.get("requests_per_second", 0.0)
-        f = fresh_results.get("requests_per_second", 0.0)
-        delta = (f - b) / b if b else 0.0
-        print(
-            f"  [info] delivered: baseline {b:,.0f} req/s -> "
-            f"fresh {f:,.0f} req/s ({delta:+.1%})"
-        )
-        print(
-            "  [info] fresh latency: "
-            f"p50 {fresh_results.get('p50_us', '?')} us, "
-            f"p99 {fresh_results.get('p99_us', '?')} us, "
-            f"p99.9 {fresh_results.get('p999_us', '?')} us "
-            f"({fresh_results.get('errors', '?')} error(s) over "
-            f"{fresh_results.get('requests', '?')} request(s))"
-        )
-    if sharded_ref is not None:
-        print_delivered_vs_service(fresh, sharded_ref)
-    print("check_bench: net front-end trajectory accepted (not gated)")
-    return 0
-
-
-def print_delivered_vs_service(net: dict, sharded: dict) -> None:
-    """The delivered-vs-service line: socket-path throughput against the
-    in-process shard pipeline's rates from the sharded benchmark."""
-    series = sharded.get("results", [])
-    if not (isinstance(series, list) and series):
-        print("  note: sharded reference lacks a results series")
-        return
-    by_shards = {e.get("shards"): e for e in series if isinstance(e, dict)}
-    point = by_shards.get(net.get("shards")) or series[-1]
-    delivered = net.get("results", {}).get("requests_per_second", 0.0)
-    service = point.get("aggregate_rps", 0.0)
-    wall = point.get("wall_rps", 0.0)
-    ratio = delivered / service if service else 0.0
-    print(
-        f"  [info] delivered vs service: socket path {delivered:,.0f} "
-        f"req/s vs in-process service {service:,.0f} req/s "
-        f"(wall {wall:,.0f}) at {point.get('shards', '?')} shard(s) "
-        f"-> {ratio:.0%} of service capacity delivered end-to-end"
-    )
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline", help="committed BENCH_batch_lookup.json")
@@ -424,24 +319,10 @@ def main() -> int:
         default="speedup",
         help="compare machine-portable speedup ratios (default) or raw ns",
     )
-    parser.add_argument(
-        "--sharded-ref",
-        default=None,
-        metavar="JSON",
-        help="BENCH_sharded_emulator.json to print the delivered-vs-"
-             "service comparison against (net-frontend inputs only)",
-    )
     args = parser.parse_args()
 
     base = load(args.baseline)
     fresh = load(args.fresh)
-    if is_channel(base) or is_channel(fresh):
-        if is_channel(base) != is_channel(fresh):
-            sys.exit(
-                "check_bench: cannot compare a channel JSON against a "
-                "different benchmark's JSON"
-            )
-        return report_channel(base, fresh)
     if is_allocator(base) or is_allocator(fresh):
         if is_allocator(base) != is_allocator(fresh):
             sys.exit(
@@ -456,17 +337,6 @@ def main() -> int:
                 "against a different benchmark's JSON"
             )
         return report_scenarios(base, fresh)
-    if is_net(base) or is_net(fresh):
-        if is_net(base) != is_net(fresh):
-            sys.exit(
-                "check_bench: cannot compare a net-frontend JSON "
-                "against a different benchmark's JSON"
-            )
-        sharded_ref = load(args.sharded_ref) if args.sharded_ref else None
-        if sharded_ref is not None and not is_sharded(sharded_ref):
-            sys.exit("check_bench: --sharded-ref is not a sharded-emulator "
-                     "JSON")
-        return report_net(base, fresh, sharded_ref)
     if is_sharded(base) or is_sharded(fresh):
         if is_sharded(base) != is_sharded(fresh):
             sys.exit(

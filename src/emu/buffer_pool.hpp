@@ -1,6 +1,6 @@
 /// \file buffer_pool.hpp
 /// \brief Standalone batch-buffer recycle pool — the memory round-trip
-/// half of what `batch_channel` used to bundle with hand-off.
+/// that pairs with every ingest ring.
 ///
 /// The consumer returns each drained batch's memory with `recycle()`,
 /// and the producer refills recycled buffers (`take()`) instead of
@@ -10,11 +10,10 @@
 /// into remote memory once, the worker decodes out of local memory
 /// every batch.
 ///
-/// Extracted from the channel on purpose: hand-off (SPSC ring or mutex
-/// channel, emu/channel.hpp) and recycling are separate concerns with
-/// different threading shapes — a mesh has M producers pushing into N×M
-/// rings but only N per-shard pools, shared by every producer feeding
-/// that shard.
+/// Kept apart from the ring on purpose: hand-off (emu/spsc_ring.hpp)
+/// and recycling are separate concerns with different threading shapes
+/// — a mesh has M producers pushing into N×M rings but only N per-shard
+/// pools, shared by every producer feeding that shard.
 ///
 /// Since the memory layer landed this is a thin adapter over
 /// mem::slab_cache with per-thread magazines *disabled*: the pool's

@@ -100,9 +100,9 @@ class emulator {
 
   /// Clones the table's *current* state as a pristine oracle.  After this,
   /// join/leave events are applied to both copies, and each request is
-  /// answered by both — differences count as mismatches.  Call after
-  /// populating and corrupting the table under test?  No: clone first,
-  /// then corrupt the original (the clone must stay pristine).
+  /// answered by both — differences count as mismatches.  Populate the
+  /// table, call this, then corrupt the original: the clone must be
+  /// taken before any corruption so it stays pristine.
   void enable_shadow();
 
   /// Enables/disables batch wall-time measurement (on by default).

@@ -1,12 +1,11 @@
 /// \file ingest.hpp
-/// \brief The unified ingest API: an M-producer × N-shard mesh of shard
-/// channels, with one producer-side handle (`ingest_session`) and one
-/// consumer-side handle (`shard_consumer`).
+/// \brief The unified ingest API: an M-producer × N-shard mesh of
+/// lock-free SPSC rings, with one producer-side handle
+/// (`ingest_session`) and one consumer-side handle (`shard_consumer`).
 ///
 /// Every batch pipeline in the repo — `sharded_emulator::run()`, the
-/// resident `stream_router`, and `net_server`'s io loops — used to hand
-/// batches over through its own ad-hoc channel arrangement.  They now
-/// all build on this one surface:
+/// resident `stream_router`, and `net_server`'s io loops — hands
+/// batches over through this one surface:
 ///
 /// ```
 ///   producer 0 ──► session 0 ──► ring(0,0) ring(0,1) … ring(0,N-1)
@@ -18,19 +17,20 @@
 ///                       shard 1: consumer scans column 1   …
 /// ```
 ///
-/// Each (producer, shard) pair owns a dedicated bounded channel, so
-/// with the lock-free `spsc_ring` implementation the
-/// single-producer/single-consumer discipline holds *by construction*:
-/// session p is the only pusher of row p, and shard s's consumer (one
-/// worker-pool thread) is the only popper of column s.  No lock, no
-/// CAS, no shared cursor anywhere on the hot path.
+/// Each (producer, shard) pair owns a dedicated bounded `spsc_ring`
+/// (emu/spsc_ring.hpp), so the single-producer/single-consumer
+/// discipline holds *by construction*: session p is the only pusher of
+/// row p, and shard s's consumer (one worker-pool thread) is the only
+/// popper of column s.  No lock, no CAS, no shared cursor anywhere on
+/// the hot path.
 ///
-/// Ordering: FIFO per channel — batches from one session reach a shard
-/// in push order.  Batches from *different* sessions are unordered
+/// Ordering: FIFO per ring — batches from one session reach a shard in
+/// push order.  Batches from *different* sessions are unordered
 /// relative to each other (the consumer scans its column round-robin);
 /// pipelines that need cross-producer ordering sequence it out of band,
-/// the way the sharded emulator pre-sequences membership epochs through
-/// the snapshot publisher before the producers fan out.
+/// the way the sharded emulator's multi-producer runs pre-sequence
+/// membership epochs through the snapshot publisher before the
+/// producers fan out.
 ///
 /// Shutdown: each session closes its own row when its stream is done
 /// (`session.close()`, exception-safe — a dying producer must still
@@ -49,90 +49,43 @@
 #include <utility>
 #include <vector>
 
-#include "emu/channel.hpp"
 #include "emu/spsc_ring.hpp"
 #include "util/require.hpp"
 
 namespace hdhash {
-
-/// One bounded hand-off channel with the implementation chosen at run
-/// time (`channel_kind`): the lock-free `spsc_ring` on hot pipelines,
-/// the `mutex_channel` reference elsewhere (and under `--channel mutex`
-/// / HDHASH_CHANNEL=mutex for A/B runs — bench_channel measures the
-/// gap).  Same concept contract either way; the conformance suite runs
-/// every test against both kinds through this wrapper.
-template <typename T>
-class shard_channel {
- public:
-  explicit shard_channel(channel_kind kind, std::size_t capacity) {
-    if (kind == channel_kind::ring) {
-      ring_ = std::make_unique<spsc_ring<T>>(capacity);
-    } else {
-      mutex_ = std::make_unique<mutex_channel<T>>(capacity);
-    }
-  }
-
-  channel_kind kind() const noexcept {
-    return ring_ ? channel_kind::ring : channel_kind::mutex;
-  }
-
-  push_status try_push(T& item) {
-    return ring_ ? ring_->try_push(item) : mutex_->try_push(item);
-  }
-  void push(T&& item) {
-    ring_ ? ring_->push(std::move(item)) : mutex_->push(std::move(item));
-  }
-  pop_status try_pop(T& out) {
-    return ring_ ? ring_->try_pop(out) : mutex_->try_pop(out);
-  }
-  bool pop(T& out) { return ring_ ? ring_->pop(out) : mutex_->pop(out); }
-  void close() { ring_ ? ring_->close() : mutex_->close(); }
-  bool closed() const { return ring_ ? ring_->closed() : mutex_->closed(); }
-  std::size_t capacity() const {
-    return ring_ ? ring_->capacity() : mutex_->capacity();
-  }
-
- private:
-  // Exactly one is set (the atomics make the implementations immovable,
-  // so the wrapper holds them behind pointers and stays movable).
-  std::unique_ptr<spsc_ring<T>> ring_;
-  std::unique_ptr<mutex_channel<T>> mutex_;
-};
 
 template <typename T>
 class ingest_session;
 template <typename T>
 class shard_consumer;
 
-/// The M×N channel fabric.  Construct once per pipeline run; hand each
+/// The M×N ring fabric.  Construct once per pipeline run; hand each
 /// producer thread its `session(p)` and each shard worker its
 /// `consumer(s)`.  The mesh must outlive every handle.
 template <typename T>
 class ingest_mesh {
  public:
   /// \pre producers >= 1, shards >= 1, capacity >= 1.
-  ingest_mesh(std::size_t producers, std::size_t shards, std::size_t capacity,
-              channel_kind kind) {
+  ingest_mesh(std::size_t producers, std::size_t shards, std::size_t capacity) {
     HDHASH_REQUIRE(producers >= 1, "need at least one producer");
     HDHASH_REQUIRE(shards >= 1, "need at least one shard");
     producers_ = producers;
     shards_ = shards;
     lanes_.reserve(producers * shards);
     for (std::size_t i = 0; i < producers * shards; ++i) {
-      lanes_.emplace_back(kind, capacity);
+      lanes_.push_back(std::make_unique<spsc_ring<T>>(capacity));
     }
   }
 
   std::size_t producers() const noexcept { return producers_; }
   std::size_t shards() const noexcept { return shards_; }
-  channel_kind kind() const noexcept { return lanes_.front().kind(); }
 
-  /// The (producer, shard) channel.  SPSC discipline: only producer
+  /// The (producer, shard) ring.  SPSC discipline: only producer
   /// `producer`'s thread pushes, only shard `shard`'s thread pops.
-  shard_channel<T>& lane(std::size_t producer, std::size_t shard) {
+  spsc_ring<T>& lane(std::size_t producer, std::size_t shard) {
     HDHASH_REQUIRE(producer < producers_ && shard < shards_,
                    "mesh lane out of range");
-    return lanes_[producer * shards_ + shard];
+    return *lanes_[producer * shards_ + shard];
   }
 
   /// Producer-side handle for one mesh row (see ingest_session).
@@ -143,14 +96,15 @@ class ingest_mesh {
   /// Force-closes every lane (stop paths; safe from any thread).
   void close() {
     for (auto& lane : lanes_) {
-      lane.close();
+      lane->close();
     }
   }
 
  private:
   std::size_t producers_ = 0;
   std::size_t shards_ = 0;
-  std::vector<shard_channel<T>> lanes_;  // producer-major
+  // Producer-major; behind pointers because a ring is immovable.
+  std::vector<std::unique_ptr<spsc_ring<T>>> lanes_;
 };
 
 /// One producer's ingest surface: push batches at shards, then close
@@ -168,11 +122,6 @@ class ingest_session {
   /// lane was closed underneath the producer (stop path).
   void push(std::size_t shard, T&& item) {
     mesh_->lane(producer_, shard).push(std::move(item));
-  }
-
-  /// Non-blocking push; `item` is moved from only on `ok`.
-  push_status try_push(std::size_t shard, T& item) {
-    return mesh_->lane(producer_, shard).try_push(item);
   }
 
   /// Ends this producer's stream: closes every lane in the row, waking

@@ -15,13 +15,11 @@ namespace hdhash {
 namespace {
 
 // The producer/worker hand-off runs on the M×N ingest mesh
-// (emu/ingest.hpp): one bounded shard channel per (producer, shard)
-// pair — lock-free SPSC rings by default — plus one buffer_pool per
-// shard for the first-touch recycle round-trip.  The payload is the
-// mode's batch type: a plain event vector (replicated) or an
-// epoch-segmented request batch (snapshot).
+// (emu/ingest.hpp): one bounded SPSC ring per (producer, shard) pair,
+// plus one buffer_pool per shard for the first-touch recycle
+// round-trip.  The payload is an epoch-segmented request batch.
 
-/// One epoch's slice of a snapshot-mode batch: requests that arrived
+/// One epoch's slice of a shard batch: requests that arrived
 /// under `snap` and must be resolved against exactly that table state.
 /// With shadow oracles enabled, `shadow_snap` is the same epoch of the
 /// pristine shadow publisher (null otherwise).
@@ -31,10 +29,9 @@ struct epoch_segment {
   std::vector<request_id> requests;
 };
 
-/// Snapshot-mode batch: up to buffer_capacity requests, segmented at
-/// the membership epochs they arrived under.  Without churn this is a
-/// single full-width segment — the undivided slot-dedup window the
-/// replicated pipeline loses to broadcast membership events.
+/// A shard batch: up to buffer_capacity requests, segmented at the
+/// membership epochs they arrived under.  Without churn this is a
+/// single full-width segment — one undivided slot-dedup window.
 ///
 /// Segments are reused in place across recycles (only segments[0..used)
 /// are live): reset() drops the snapshot references but keeps every
@@ -173,29 +170,29 @@ void answer_segment(const epoch_segment& segment, run_stats& stats,
 /// first-touch pass (each shard worker allocates its buffer_pool's
 /// recycled batches on its own thread, hence its own NUMA node), then
 /// the decode loops on workers [0, shards), then the producers — on
-/// the calling thread when `producers` == 1 (the historical shape), or
-/// as pool jobs on workers [shards, shards + producers) otherwise —
-/// then shutdown.  `make_recycled(shard)` builds one pre-touched empty
-/// batch (and may touch other per-shard scratch); `decode(shard,
-/// batch)` is the per-batch worker body; drained batches are reset via
-/// `reset(batch)` and recycled; `produce(p, session, pools)` feeds
-/// producer p's mesh row.  Each producer's session is closed on every
-/// exit path (a producer that dies without closing would leave its
-/// consumers waiting forever); worker exceptions are captured and
-/// rethrown on the calling thread after shutdown (a faulted worker
-/// keeps draining so producers never deadlock on a full channel).
-template <typename Batch, typename MakeRecycled, typename Reset,
-          typename Decode, typename Produce>
+/// the calling thread when `producers` == 1, or as pool jobs on workers
+/// [shards, shards + producers) otherwise — then shutdown.
+/// `make_recycled(shard)` builds one pre-touched empty batch (and may
+/// touch other per-shard scratch); `decode(shard, batch)` is the
+/// per-batch worker body; drained batches are reset (dropping their
+/// epoch references, so the worker that resets an epoch's last segment
+/// frees it) and recycled; `produce(p, session, pools)` feeds producer
+/// p's mesh row.  Each producer's session is closed on every exit path
+/// (a producer that dies without closing would leave its consumers
+/// waiting forever); worker exceptions are captured and rethrown on the
+/// calling thread after shutdown (a faulted worker keeps draining so
+/// producers never deadlock on a full ring).
+template <typename MakeRecycled, typename Decode, typename Produce>
 void run_mesh(runtime::worker_pool& pool, std::size_t shards,
-              std::size_t producers, channel_kind kind, std::size_t depth,
-              MakeRecycled&& make_recycled, Reset&& reset, Decode&& decode,
+              std::size_t producers, std::size_t depth,
+              MakeRecycled&& make_recycled, Decode&& decode,
               Produce&& produce) {
-  ingest_mesh<Batch> mesh(producers, shards, depth, kind);
-  std::vector<buffer_pool<Batch>> pools(shards);
+  ingest_mesh<epoch_batch> mesh(producers, shards, depth);
+  std::vector<buffer_pool<epoch_batch>> pools(shards);
   std::vector<std::exception_ptr> errors(shards);
 
   // First-touch generation: enough buffers per shard that every
-  // producer can hold one pending batch plus the channel-depth slack
+  // producer can hold one pending batch plus the ring-depth slack
   // before anyone falls back to a fresh (producer-touched) allocation.
   const std::size_t warm = producers + 2;
   for (std::size_t s = 0; s < shards; ++s) {
@@ -208,10 +205,10 @@ void run_mesh(runtime::worker_pool& pool, std::size_t shards,
   pool.wait_idle();
 
   for (std::size_t s = 0; s < shards; ++s) {
-    pool.submit(s, [s, &mesh, &pools, &errors, &decode, &reset] {
-      shard_consumer<Batch> consumer = mesh.consumer(s);
+    pool.submit(s, [s, &mesh, &pools, &errors, &decode] {
+      shard_consumer<epoch_batch> consumer = mesh.consumer(s);
       try {
-        Batch batch;
+        epoch_batch batch;
         while (consumer.pop(batch)) {
           try {
             decode(s, batch);
@@ -220,11 +217,11 @@ void run_mesh(runtime::worker_pool& pool, std::size_t shards,
               errors[s] = std::current_exception();
             }
             // Keep looping so no producer ever blocks on a full
-            // channel after a decode fault.
+            // ring after a decode fault.
           }
-          reset(batch);
+          batch.reset();
           pools[s].recycle(std::move(batch));
-          batch = Batch{};
+          batch = epoch_batch{};
         }
       } catch (...) {
         // reset/recycle themselves faulted (allocation failure): the
@@ -233,7 +230,7 @@ void run_mesh(runtime::worker_pool& pool, std::size_t shards,
         if (!errors[s]) {
           errors[s] = std::current_exception();
         }
-        Batch discard;
+        epoch_batch discard;
         while (consumer.pop(discard)) {
         }
       }
@@ -241,7 +238,7 @@ void run_mesh(runtime::worker_pool& pool, std::size_t shards,
   }
 
   auto run_producer = [&](std::size_t p) {
-    ingest_session<Batch> session = mesh.session(p);
+    ingest_session<epoch_batch> session = mesh.session(p);
     try {
       produce(p, session, pools);
     } catch (...) {
@@ -275,15 +272,12 @@ void run_mesh(runtime::worker_pool& pool, std::size_t shards,
   }
 }
 
-/// Producer-side refill: reuse a worker-touched recycled buffer when
-/// one is back, else allocate fresh (start-up, or the workers are
-/// still holding the whole warm set).
-template <typename Batch, typename MakeFresh>
-Batch next_buffer(buffer_pool<Batch>& pool, MakeFresh&& make_fresh) {
-  Batch batch;
-  if (!pool.take(batch)) {
-    batch = make_fresh();
-  }
+/// Producer-side refill: reuse a worker-touched recycled batch when one
+/// is back, else start an empty one (start-up, or the workers are still
+/// holding the whole warm set).
+epoch_batch next_buffer(buffer_pool<epoch_batch>& pool) {
+  epoch_batch batch;
+  pool.take(batch);
   return batch;
 }
 
@@ -316,11 +310,6 @@ sharded_emulator::sharded_emulator(table_factory factory,
   HDHASH_REQUIRE(config_.channel_depth >= 1,
                  "channel depth must be positive");
   HDHASH_REQUIRE(factory != nullptr, "table factory must be callable");
-  HDHASH_REQUIRE(
-      config_.producers == 1 ||
-          config_.membership == membership_mode::snapshot,
-      "multi-producer ingest needs epoch-sequenced membership — "
-      "replicated mode broadcasts in stream order and keeps one producer");
   // Shard decoders occupy pool workers [0, shards); with a fanned-out
   // producer side, the mesh producers take [shards, shards+producers),
   // placed by the same policy (so producers land on real CPUs after
@@ -329,19 +318,10 @@ sharded_emulator::sharded_emulator(table_factory factory,
       config_.shards + (config_.producers > 1 ? config_.producers : 0);
   pool_ = std::make_unique<runtime::worker_pool>(pool_size,
                                                  config_.placement);
-  if (config_.membership == membership_mode::snapshot) {
-    auto table = factory(0);
-    HDHASH_REQUIRE(table != nullptr, "table factory returned null");
-    publisher_ = std::make_unique<snapshot_publisher>(std::move(table),
-                                                      mem::local_arena());
-    return;
-  }
-  tables_.reserve(config_.shards);
-  for (std::size_t shard = 0; shard < config_.shards; ++shard) {
-    auto table = factory(shard);
-    HDHASH_REQUIRE(table != nullptr, "table factory returned null");
-    tables_.push_back(std::move(table));
-  }
+  auto table = factory(0);
+  HDHASH_REQUIRE(table != nullptr, "table factory returned null");
+  publisher_ = std::make_unique<snapshot_publisher>(std::move(table),
+                                                    mem::local_arena());
 }
 
 std::size_t sharded_emulator::shard_of(request_id request) const {
@@ -351,132 +331,10 @@ std::size_t sharded_emulator::shard_of(request_id request) const {
 
 dynamic_table& sharded_emulator::table(std::size_t shard) {
   HDHASH_REQUIRE(shard < config_.shards, "shard index out of range");
-  if (config_.membership == membership_mode::snapshot) {
-    return publisher_->table();
-  }
-  return *tables_[shard];
+  return publisher_->table();
 }
 
 sharded_report sharded_emulator::run(std::span<const event> events) {
-  sharded_report report = config_.membership == membership_mode::snapshot
-                              ? run_snapshot(events)
-                              : run_replicated(events);
-  report.placement = pool_->policy();
-  report.channel = config_.channel;
-  report.workers.reserve(config_.shards);
-  for (std::size_t s = 0; s < config_.shards; ++s) {
-    report.workers.push_back(pool_->info(s));
-  }
-  if (config_.producers > 1) {
-    report.producer_workers.reserve(config_.producers);
-    for (std::size_t p = 0; p < config_.producers; ++p) {
-      report.producer_workers.push_back(pool_->info(config_.shards + p));
-    }
-  }
-  return report;
-}
-
-sharded_report sharded_emulator::run_replicated(std::span<const event> events) {
-  using clock = std::chrono::steady_clock;
-  const std::size_t shards = tables_.size();
-
-  sharded_report report;
-  report.per_shard.resize(shards);
-
-  std::vector<std::unique_ptr<dynamic_table>> shadows(shards);
-  if (config_.shadow) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      shadows[s] = tables_[s]->clone();
-    }
-  }
-  // Fault injection happens after the pristine clones, before any event.
-  if (config_.corrupt) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      config_.corrupt(*tables_[s], s);
-    }
-  }
-
-  const auto start = clock::now();
-  std::size_t logical_joins = 0;
-  std::size_t logical_leaves = 0;
-  const timing_mode timing =
-      config_.timing ? timing_mode::thread_cpu : timing_mode::off;
-  const std::size_t capacity = config_.buffer_capacity;
-  run_mesh<std::vector<event>>(
-      *pool_, shards, /*producers=*/1, config_.channel, config_.channel_depth,
-      [capacity](std::size_t) {
-        // resize-then-clear: writes every slot (first-touch on the
-        // worker's node) and keeps the capacity for refills.
-        std::vector<event> batch(capacity);
-        batch.clear();
-        return batch;
-      },
-      [](std::vector<event>& batch) { batch.clear(); },
-      [&](std::size_t s, const std::vector<event>& batch) {
-        // Shard service time is metered on the worker's own CPU clock
-        // so preemption by sibling shards (oversubscribed machines)
-        // does not count against this shard's decode rate.
-        apply_event_batch(*tables_[s], shadows[s].get(), batch,
-                          report.per_shard[s], timing);
-      },
-      [&](std::size_t, auto& session, auto& pools) {
-        // Producer: partition requests, broadcast membership, hand over
-        // each shard's batch as soon as it fills (the double-buffered
-        // overlap).
-        const auto fresh = [capacity] {
-          std::vector<event> batch;
-          batch.reserve(capacity);
-          return batch;
-        };
-        std::vector<std::vector<event>> pending(shards);
-        for (std::size_t s = 0; s < shards; ++s) {
-          pending[s] = next_buffer(pools[s], fresh);
-        }
-        auto submit = [&](std::size_t s) {
-          session.push(s, std::move(pending[s]));
-          pending[s] = next_buffer(pools[s], fresh);
-        };
-        for (const event& e : events) {
-          if (e.kind == event_kind::request) {
-            const std::size_t s = shard_of(e.id);
-            pending[s].push_back(e);
-            if (pending[s].size() >= capacity) {
-              submit(s);
-            }
-            continue;
-          }
-          (e.kind == event_kind::join ? logical_joins : logical_leaves) += 1;
-          for (std::size_t s = 0; s < shards; ++s) {
-            pending[s].push_back(e);
-            if (pending[s].size() >= capacity) {
-              submit(s);
-            }
-          }
-        }
-        for (std::size_t s = 0; s < shards; ++s) {
-          if (!pending[s].empty()) {
-            submit(s);
-          }
-        }
-      });
-  const auto stop = clock::now();
-
-  report.wall_seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(stop - start)
-          .count();
-  report.merged = merge(report.per_shard);
-  // Broadcast membership events are applied once per shard; report them
-  // once each so the merged stats compare field-for-field with a
-  // single-table reference run.
-  report.merged.joins = logical_joins;
-  report.merged.leaves = logical_leaves;
-  for (const auto& table : tables_) {
-    report.table_memory_bytes += table->stats().memory_bytes;
-  }
-  return report;
-}
-
-sharded_report sharded_emulator::run_snapshot(std::span<const event> events) {
   using clock = std::chrono::steady_clock;
   const std::size_t shards = config_.shards;
   const std::size_t producers = config_.producers;
@@ -541,8 +399,8 @@ sharded_report sharded_emulator::run_snapshot(std::span<const event> events) {
   const timing_mode timing =
       config_.timing ? timing_mode::thread_cpu : timing_mode::off;
   const std::size_t capacity = config_.buffer_capacity;
-  run_mesh<epoch_batch>(
-      *pool_, shards, producers, config_.channel, config_.channel_depth,
+  run_mesh(
+      *pool_, shards, producers, config_.channel_depth,
       [capacity, &answers, &truth](std::size_t s) {
         // One pre-touched segment per recycled batch; under churn a
         // batch grows more segments on demand (reused in place after
@@ -559,9 +417,6 @@ sharded_report sharded_emulator::run_snapshot(std::span<const event> events) {
         truth[s].clear();
         return batch;
       },
-      // Resetting a batch drops its epoch references, so the worker that
-      // resets an epoch's last segment frees it.
-      [](epoch_batch& batch) { batch.reset(); },
       [&](std::size_t s, const epoch_batch& batch) {
         for (std::size_t i = 0; i < batch.used; ++i) {
           answer_segment(batch.segments[i], report.per_shard[s], timing,
@@ -569,11 +424,10 @@ sharded_report sharded_emulator::run_snapshot(std::span<const event> events) {
         }
       },
       [&](std::size_t p, auto& session, auto& pools) {
-        const auto fresh = [] { return epoch_batch{}; };
         std::vector<epoch_batch> pending(shards);
         std::vector<std::size_t> pending_requests(shards, 0);
         for (std::size_t s = 0; s < shards; ++s) {
-          pending[s] = next_buffer(pools[s], fresh);
+          pending[s] = next_buffer(pools[s]);
         }
         // Each request joins its shard's pending batch in the segment of
         // its epoch — a new epoch opens a new segment, so churn never
@@ -590,7 +444,7 @@ sharded_report sharded_emulator::run_snapshot(std::span<const event> events) {
           segment->requests.push_back(request);
           if (++pending_requests[s] >= capacity) {
             session.push(s, std::move(pending[s]));
-            pending[s] = next_buffer(pools[s], fresh);
+            pending[s] = next_buffer(pools[s]);
             pending_requests[s] = 0;
           }
         };
@@ -649,6 +503,17 @@ sharded_report sharded_emulator::run_snapshot(std::span<const event> events) {
     report.table_memory_bytes += shadow_publisher->marginal_bytes();
   }
   report.snapshots_published = publisher_->published_epochs();
+  report.placement = pool_->policy();
+  report.workers.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    report.workers.push_back(pool_->info(s));
+  }
+  if (producers > 1) {
+    report.producer_workers.reserve(producers);
+    for (std::size_t p = 0; p < producers; ++p) {
+      report.producer_workers.push_back(pool_->info(shards + p));
+    }
+  }
   return report;
 }
 

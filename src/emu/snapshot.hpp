@@ -1,18 +1,18 @@
 /// \file snapshot.hpp
 /// \brief Epoch-published table snapshots — the shared-state backbone of
-/// the sharded emulator's snapshot membership mode.
+/// the sharded emulator and the stream router.
 ///
-/// The replicated pipeline (PR 2) broadcast every join/leave to N shard
-/// workers, each owning a full table replica: O(shards) work per
-/// membership event and an N-fold copy of the pool's routing state.
-/// This module inverts that: one *producer-owned mutable table* absorbs
-/// membership events, and each membership **epoch** — the span of the
-/// stream between two membership events — is published once as an
-/// immutable, reference-counted table_snapshot.  Shard workers resolve
+/// Broadcasting every join/leave to N shard workers, each owning a full
+/// table replica, costs O(shards) work per membership event and an
+/// N-fold copy of the pool's routing state.  This module avoids both:
+/// one *producer-owned mutable table* absorbs membership events, and
+/// each membership **epoch** — the span of the stream between two
+/// membership events — is published once as an immutable,
+/// reference-counted table_snapshot.  Shard workers resolve
 /// every request against the snapshot of the epoch the request arrived
 /// under, so
 ///  * churn costs O(1) applications per event regardless of shard count,
-///  * table memory is ~one replica plus copy-on-write bookkeeping
+///  * table memory is ~one table plus copy-on-write bookkeeping
 ///    (hd shares the circle basis and item-memory rows and copies only
 ///    its flat row list and slot array, and hd-hierarchical shares every
 ///    group the epoch's events did not touch; see

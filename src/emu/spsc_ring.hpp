@@ -1,8 +1,25 @@
 /// \file spsc_ring.hpp
 /// \brief Lock-free bounded single-producer/single-consumer ring — the
-/// hot-path implementation of the shard-channel concept
-/// (emu/channel.hpp), and the fabric of the M×N ingest mesh
+/// one hand-off channel of every ingest pipeline (sharded emulator,
+/// stream router, net front-end) and the fabric of the M×N ingest mesh
 /// (emu/ingest.hpp).
+///
+/// The channel contract, asserted by the conformance and torture suite
+/// (tests/emu_channel_test.cpp):
+///
+///  * **bounded + backpressure** — `push()` blocks once `capacity`
+///    items are queued, so a producer that outruns its consumer stalls
+///    instead of ballooning memory (for the socket front-end this
+///    propagates all the way back to the TCP receive window);
+///  * **FIFO** — items pop in push order, which is what keeps
+///    per-connection (and per-stream) reply ordering trivial;
+///  * **loud close** — after `close()`, `push()` throws
+///    `channel_closed` (including a push already *blocked* on a full
+///    ring when close arrives — it wakes and throws instead of
+///    deadlocking), and `pop()` drains the remaining items, then
+///    returns false forever;
+///  * **non-blocking probes** — `try_push`/`try_pop` return a status
+///    (`ok`/`full|empty`/`closed`) and never block or throw.
 ///
 /// Design (the classic bounded SPSC queue, cf. cachegrand's
 /// `ring_bounded_queue_spsc` and Rigtorp's SPSC ring):
@@ -27,35 +44,85 @@
 ///    cached copy says the ring *looks* full (producer) or empty
 ///    (consumer).  In steady streaming each side re-reads the peer
 ///    cursor once per `capacity` operations instead of once per
-///    operation, which is where the ring's throughput over the mutex
-///    channel comes from (see bench_channel / BENCH_channel.json).
+///    operation.
 ///
 /// Close semantics: `close()` is an atomic flag any thread may set.  A
 /// `try_push` that already read a free slot may complete concurrently
-/// with `close()` — the contract (shared with the mutex channel) is
-/// that producers stop pushing before or upon observing the close, and
-/// every blocking `push()` parked on a full ring wakes and throws
-/// `channel_closed`.  `pop()` keeps draining queued items after close
-/// and returns false only once the ring is empty — nothing pushed
-/// before close is ever lost.
+/// with `close()` — the contract is that producers stop pushing before
+/// or upon observing the close, and every blocking `push()` parked on a
+/// full ring wakes and throws `channel_closed`.  `pop()` keeps draining
+/// queued items after close and returns false only once the ring is
+/// empty — nothing pushed before close is ever lost.
 ///
 /// Strictly single-producer/single-consumer: one thread pushes, one
 /// thread pops.  The ingest mesh gives every producer its own ring per
-/// shard precisely so this holds by construction; for multi-producer
-/// hand-off use `mutex_channel` (or one ring per producer).
+/// shard precisely so this holds by construction.
+///
+/// Buffer recycling is not part of the channel: the producer/consumer
+/// memory round-trip lives in the standalone `buffer_pool`
+/// (emu/buffer_pool.hpp).
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include "emu/channel.hpp"
 #include "util/require.hpp"
 
 namespace hdhash {
 
+/// Thrown by push() when the ring is (or becomes, while the push is
+/// blocked on a full ring) closed: pushing into a closed channel is a
+/// pipeline-protocol violation and must fail loudly, never block or
+/// silently drop.
+class channel_closed : public precondition_error {
+ public:
+  channel_closed() : precondition_error("push into a closed channel") {}
+};
+
+/// Non-blocking push outcome.
+enum class push_status : std::uint8_t {
+  ok,      ///< the item was moved into the ring
+  full,    ///< no slot free; the item is untouched — retry later
+  closed,  ///< the ring is closed; the item is untouched
+};
+
+/// Non-blocking pop outcome.
+enum class pop_status : std::uint8_t {
+  ok,      ///< an item was moved out
+  empty,   ///< nothing queued right now (ring still open)
+  closed,  ///< closed *and* drained — no item will ever arrive again
+};
+
 namespace detail {
+
+/// Producer/consumer wait loop: spin briefly (the common case — the
+/// peer is one batch away), then yield, then park in short sleeps.
+/// Each blocking call starts a fresh ladder.
+class channel_backoff {
+ public:
+  void pause() {
+    if (spins_ < kSpinLimit) {
+      ++spins_;
+      return;  // busy-spin: the peer is usually mid-batch
+    }
+    if (spins_ < kSpinLimit + kYieldLimit) {
+      ++spins_;
+      std::this_thread::yield();
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+
+ private:
+  static constexpr int kSpinLimit = 64;
+  static constexpr int kYieldLimit = 16;
+  int spins_ = 0;
+};
 
 /// Rounds up to the next power of two (minimum 1).
 constexpr std::size_t round_up_pow2(std::size_t n) {
@@ -75,9 +142,10 @@ inline constexpr std::size_t kCacheLine = 64;
 
 }  // namespace detail
 
-/// Bounded lock-free SPSC ring channel.  Capacity is rounded up to a
-/// power of two; the default of 4 gives the producer two batches of
-/// slack beyond the classic double buffer.
+/// Bounded lock-free SPSC ring.  Capacity is rounded up to a power of
+/// two; the default of 4 gives the producer two batches of slack beyond
+/// the classic double buffer.  The atomics make a ring immovable, so
+/// containers hold rings behind pointers.
 template <typename T>
 class spsc_ring {
  public:

@@ -28,17 +28,16 @@ stream_router::stream_router(std::unique_ptr<dynamic_table> table,
     : config_(cfg), pool_(pool), first_worker_(first_worker) {
   HDHASH_REQUIRE(table != nullptr, "stream router needs a table");
   HDHASH_REQUIRE(config_.shards >= 1, "need at least one shard");
+  HDHASH_REQUIRE(config_.sessions >= 1, "need at least one session");
   HDHASH_REQUIRE(config_.channel_depth >= 1,
                  "shard channel depth must be positive");
   HDHASH_REQUIRE(first_worker_ + config_.shards <= pool_.size(),
                  "shard worker range exceeds the pool");
   publisher_ = std::make_unique<snapshot_publisher>(std::move(table),
                                                     mem::local_arena());
-  // One private row per registered session plus the shared legacy row
-  // (row index config_.sessions, serialized by legacy_row_mutex_).
+  // One private row per session.
   mesh_ = std::make_unique<ingest_mesh<shard_slice>>(
-      config_.sessions + 1, config_.shards, config_.channel_depth,
-      config_.channel);
+      config_.sessions, config_.shards, config_.channel_depth);
   scratch_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
     scratch_.push_back(std::make_unique<shard_scratch>());
@@ -132,15 +131,6 @@ void stream_router::leave(server_id server) {
 std::size_t stream_router::shard_of(request_id request) const {
   return static_cast<std::size_t>(
       splitmix_hash::mix(request ^ config_.partition_seed) % config_.shards);
-}
-
-void stream_router::submit(std::shared_ptr<route_batch> batch) {
-  // The legacy row's lanes are single-producer like every other row;
-  // serializing the callers here (mutex hand-off orders their pushes)
-  // keeps them safe and FIFO.  A caller blocked on a full lane blocks
-  // its peers too — io-rate producers hold a private session instead.
-  const std::lock_guard lock(legacy_row_mutex_);
-  submit_to_row(config_.sessions, std::move(batch));
 }
 
 stream_router::session stream_router::open_session(std::size_t index) {

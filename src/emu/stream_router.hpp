@@ -7,38 +7,35 @@
 /// requests by hash(id) % shards, hand per-shard batches through
 /// bounded channels to pinned decode workers, resolve each batch
 /// against the epoch snapshot it arrived under — but as a *resident*
-/// engine: start once, accept route batches from any number of io
-/// threads, deliver each batch's answers through a completion callback,
-/// and stop by draining.  This class is that engine; `net::net_server`
+/// engine: start once, accept route batches from a fixed set of io
+/// threads (one session each), deliver each batch's answers through a
+/// completion callback, and stop by draining.  This class is that engine; `net::net_server`
 /// is its first client.
 ///
 /// Ingest runs on the shared mesh API (emu/ingest.hpp): the router
-/// owns a (sessions + 1) × shards `ingest_mesh` of bounded shard
-/// channels — lock-free SPSC rings by default.  Each registered
-/// *session* (`open_session(i)`, one per io thread) owns a private
-/// mesh row, so an io loop pushes its slices into single-producer
-/// rings with no lock anywhere on the hot path; the extra row backs
-/// the legacy `submit()` entry point, serialized internally so any
-/// number of casual callers can share it.
+/// owns a sessions × shards `ingest_mesh` of bounded lock-free SPSC
+/// rings.  Each *session* (`open_session(i)`, one per io thread) owns a
+/// private mesh row, so an io loop pushes its slices into
+/// single-producer rings with no lock anywhere on the hot path.  Every
+/// batch enters through a session; there is no shared submit path.
 ///
 /// Concurrency contract:
-///  * join()/leave()/submit() are thread-safe; a session's submit() is
-///    bound to one thread at a time (it is that row's SPSC producer).
-///  * Batches submitted through one session (or through submit() from
-///    one thread) complete their shard-local slices in submission
-///    order (channels are FIFO per lane), so per-connection reply
-///    ordering reduces to a FIFO of tickets on the submitter.
-///    Ordering across different sessions is not defined — exactly as
-///    ordering across submitter threads never was.
+///  * join()/leave() are thread-safe; a session's submit() is bound to
+///    one thread at a time (it is that row's SPSC producer).
+///  * Batches submitted through one session complete their shard-local
+///    slices in submission order (rings are FIFO per lane), so
+///    per-connection reply ordering reduces to a FIFO of tickets on the
+///    submitter.  Ordering across different sessions is not defined.
 ///  * `on_complete` runs on whichever shard worker finishes the
 ///    batch's last slice — it must be cheap and non-blocking (post a
 ///    wakeup, never write sockets or take long-held locks).
-///  * After stop(), submit() fails loudly (hdhash::channel_closed or
-///    precondition_error) — quiesce submitters first, the way
-///    net_server joins its io loops before stopping the router.
+///  * After stop(), a session's submit() fails loudly
+///    (hdhash::channel_closed or precondition_error) — quiesce
+///    submitters first, the way net_server joins its io loops before
+///    stopping the router.
 ///
 /// Determinism: a batch's requests all resolve against the snapshot of
-/// the membership epoch current at submit() time, and every membership
+/// the membership epoch current at submit time, and every membership
 /// event is applied before any later-submitted batch acquires its
 /// snapshot.  A single submitter that flushes its open batch before
 /// each join/leave therefore reproduces exactly the plain emulator's
@@ -53,7 +50,6 @@
 #include <mutex>
 #include <vector>
 
-#include "emu/channel.hpp"
 #include "emu/ingest.hpp"
 #include "emu/snapshot.hpp"
 #include "runtime/worker_pool.hpp"
@@ -68,17 +64,13 @@ class stream_router {
     /// [first_worker, first_worker + shards) are occupied for the
     /// router's whole start()..stop() span.
     std::size_t shards = 1;
-    /// Dedicated producer sessions (>= 0): io threads that each own a
-    /// private single-producer mesh row via open_session().  The
-    /// shared legacy submit() row exists regardless.
-    std::size_t sessions = 0;
-    /// Bounded per-lane channel depth: how many batches may queue on
-    /// one (producer, shard) lane before submit() blocks
-    /// (backpressure to the io layer).
+    /// Producer sessions (>= 1): submitters (io threads) that each own
+    /// a private single-producer mesh row via open_session().
+    std::size_t sessions = 1;
+    /// Bounded per-lane ring depth: how many batches may queue on one
+    /// (session, shard) lane before submit() blocks (backpressure to
+    /// the io layer).
     std::size_t channel_depth = 4;
-    /// Shard-channel implementation of the mesh (ring | mutex);
-    /// default per HDHASH_CHANNEL, else the lock-free ring.
-    channel_kind channel = default_channel_kind();
     /// Salt of the request partition hash (the sharded emulator's
     /// default, so both pipelines split streams identically).
     std::uint64_t partition_seed = 0x5A4D'ED01;
@@ -116,10 +108,12 @@ class stream_router {
    public:
     session() = default;
 
-    /// Same semantics as stream_router::submit(), minus the internal
-    /// serialization: partitions the ticket, stamps the current epoch
-    /// snapshot, pushes one slice per covered shard into this
-    /// session's own lock-free lanes.
+    /// Partitions the ticket's requests by shard, stamps the current
+    /// epoch snapshot, and pushes one slice per covered shard into this
+    /// session's own lock-free lanes (blocking when a lane is full —
+    /// backpressure).  Empty tickets complete inline on the calling
+    /// thread.  \pre the router is started and not stopped;
+    /// batch != nullptr.
     void submit(std::shared_ptr<route_batch> batch) {
       router_->submit_to_row(row_, std::move(batch));
     }
@@ -136,7 +130,8 @@ class stream_router {
   /// Takes ownership of the (single, producer-owned) table and runs
   /// decode loops on `pool` workers [first_worker, first_worker +
   /// config.shards).  start() must be called before the first submit().
-  /// \pre table != nullptr; the worker range is within the pool.
+  /// \pre table != nullptr; config.shards >= 1; config.sessions >= 1;
+  /// the worker range is within the pool.
   stream_router(std::unique_ptr<dynamic_table> table,
                 runtime::worker_pool& pool, std::size_t first_worker,
                 config cfg);
@@ -170,15 +165,6 @@ class stream_router {
   /// Applies a leave (thread-safe; unknown ids throw, table unchanged).
   void leave(server_id server);
 
-  /// Partitions the ticket's requests by shard, stamps the current
-  /// epoch snapshot, and pushes one slice per covered shard (blocking
-  /// when a lane is full — backpressure).  Empty tickets complete
-  /// inline on the calling thread.  This shared entry point is
-  /// serialized internally (any number of callers); io-rate producers
-  /// should hold a private open_session() handle instead.
-  /// \pre started and not stopped; batch != nullptr.
-  void submit(std::shared_ptr<route_batch> batch);
-
   /// Hands out the private producer row `index`.  Valid for the
   /// router's lifetime; one driving thread at a time per session.
   /// \pre index < config.sessions.
@@ -197,11 +183,11 @@ class stream_router {
   std::uint64_t epoch() const noexcept {
     return epoch_count_.load(std::memory_order_relaxed);
   }
-  /// Requests accepted through submit() so far.
+  /// Requests accepted by the sessions so far.
   std::uint64_t requests_routed() const noexcept {
     return requests_routed_.load(std::memory_order_relaxed);
   }
-  /// Batches accepted through submit() so far.
+  /// Batches accepted by the sessions so far.
   std::uint64_t batches_routed() const noexcept {
     return batches_routed_.load(std::memory_order_relaxed);
   }
@@ -227,10 +213,6 @@ class stream_router {
   // snapshot is always consistent with the membership order observed
   // by submitters.
   mutable std::mutex producer_mutex_;
-  // Serializes the shared legacy row (row index config_.sessions):
-  // its lanes are single-producer, so concurrent legacy submitters
-  // take turns.  Sessions never touch this lock.
-  std::mutex legacy_row_mutex_;
   std::atomic<std::size_t> members_{0};
   std::atomic<std::uint64_t> epoch_count_{0};
   std::atomic<std::uint64_t> requests_routed_{0};

@@ -76,13 +76,6 @@ emulator_options parse_emulator_options(int argc, char** argv) {
         opts.errors.push_back(
             "--pin needs one of none|compact|scatter|smt-aware");
       }
-    } else if (const char* value = flag_value(argc, argv, &i, "--channel")) {
-      opts.channel_set = true;
-      if (const auto kind = parse_channel_kind(value)) {
-        opts.channel = *kind;
-      } else {
-        opts.errors.push_back("--channel needs one of ring|mutex");
-      }
     } else if (const char* value = flag_value(argc, argv, &i, "--mem")) {
       opts.mem_set = true;
       if (const auto request = mem::parse_mem_request(value)) {
@@ -102,8 +95,6 @@ emulator_options parse_emulator_options(int argc, char** argv) {
         }
         opts.errors.push_back(std::move(message));
       }
-    } else if (std::strcmp(argv[i], "--replicated") == 0) {
-      opts.membership = membership_mode::replicated;
     }
   }
   if (opts.shards_auto) {
@@ -113,10 +104,6 @@ emulator_options parse_emulator_options(int argc, char** argv) {
     const std::size_t reserved = opts.producers > 1 ? opts.producers : 1;
     opts.shards =
         runtime::auto_shard_count(runtime::host_topology(), reserved);
-  }
-  if (opts.producers > 1 && opts.membership == membership_mode::replicated) {
-    opts.errors.push_back(
-        "--producers > 1 needs snapshot membership (drop --replicated)");
   }
   return opts;
 }
@@ -130,10 +117,6 @@ void emulator_options::apply(sharded_config& config) const {
   }
   if (placement_set) {
     config.placement = placement;
-  }
-  config.membership = membership;
-  if (channel_set) {
-    config.channel = channel;
   }
   if (mem_set) {
     // Process-wide, not per-config: arenas are created when the driver

@@ -1,15 +1,8 @@
 /// \file emulator_options.hpp
 /// \brief One emulator flag surface for every driver: the parsed
 /// `emulator_options` struct behind `--shards`, `--producers`, `--pin`,
-/// `--replicated`, `--channel` and `--scenario`, consumed by the
-/// benches, the examples and the shard-sweep driver.
-///
-/// Each of those knobs used to have its own ad-hoc scanner
-/// (`parse_shards_flag`, `parse_pin_flag`, `parse_replicated_flag`,
-/// plus per-bench env-var plumbing), so drivers drifted: some knew
-/// `--shards auto`, some did not; error wording differed; new knobs
-/// meant touching every main().  This parser replaces them (the old
-/// helpers survive as deprecated shims over it, see exp/sharded.hpp):
+/// `--mem` and `--scenario`, consumed by the benches, the examples and
+/// the shard-sweep driver.  Parsing rules:
 ///
 ///  * unknown flags are *ignored* — every driver has its own extra
 ///    flags (`--json`, `--requests`, `--connections`, …) and parses
@@ -20,15 +13,14 @@
 ///  * `auto` values resolve against the discovered host topology at
 ///    parse time (`--shards auto`, `--producers auto`), the same
 ///    sizing the net server uses;
-///  * environment defaults (HDHASH_PIN, HDHASH_CHANNEL) apply exactly
-///    when the flag is absent — a flag always wins over its env var.
+///  * environment defaults (HDHASH_PIN, HDHASH_MEM) apply exactly when
+///    the flag is absent — a flag always wins over its env var.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
-#include "emu/channel.hpp"
 #include "emu/sharded_emulator.hpp"
 #include "mem/arena_options.hpp"
 #include "runtime/placement_plan.hpp"
@@ -55,13 +47,6 @@ struct emulator_options {
   /// --pin none|compact|scatter|smt-aware; default per HDHASH_PIN.
   bool placement_set = false;
   runtime::placement_policy placement = runtime::default_placement_policy();
-
-  /// --replicated (drivers default to snapshot membership).
-  membership_mode membership = membership_mode::snapshot;
-
-  /// --channel ring|mutex; default per HDHASH_CHANNEL.
-  bool channel_set = false;
-  channel_kind channel = default_channel_kind();
 
   /// --mem auto|huge|thp|page: memory backing the hot-state arenas are
   /// created under (src/mem/arena_options.hpp).  Wins over HDHASH_MEM;

@@ -20,52 +20,6 @@ std::vector<std::size_t> shard_count_sweep(std::size_t max_shards) {
   return counts;
 }
 
-// Deprecated shims: each re-runs the unified parser and projects out
-// its one flag, so old drivers see exactly the historical structs while
-// all parsing logic lives in exp/emulator_options.cpp.  (Suppressing
-// the self-deprecation warning on the definitions only.)
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-bool parse_replicated_flag(int argc, char** argv) {
-  return parse_emulator_options(argc, argv).membership ==
-         membership_mode::replicated;
-}
-
-shards_flag parse_shards_flag(int argc, char** argv) {
-  const emulator_options opts = parse_emulator_options(argc, argv);
-  shards_flag flag;
-  flag.present = opts.shards_set;
-  flag.value = opts.shards;
-  flag.auto_sized = opts.shards_auto;
-  return flag;
-}
-
-pin_flag parse_pin_flag(int argc, char** argv) {
-  const emulator_options opts = parse_emulator_options(argc, argv);
-  pin_flag flag;
-  flag.present = opts.placement_set;
-  // The unified parser keeps the default policy on a malformed value
-  // and records the problem in errors; the historical struct reported
-  // the same condition as present-but-invalid.
-  flag.valid = opts.placement_set;
-  for (const std::string& error : opts.errors) {
-    if (error.rfind("--pin", 0) == 0) {
-      flag.valid = false;
-    }
-  }
-  if (flag.valid) {
-    flag.policy = opts.placement;
-  }
-  return flag;
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 std::vector<shard_sweep_point> run_shard_sweep(std::string_view algorithm,
                                                const shard_sweep_config& config,
                                                const table_options& options) {
@@ -91,22 +45,13 @@ std::vector<shard_sweep_point> run_shard_sweep(std::string_view algorithm,
   emulator reference(*reference_table, config.buffer_capacity);
   const run_stats expected = reference.run(events);
 
-  // Shadow oracles run in either mode since the scenario engine landed
-  // epoch-published shadow snapshots; the sweep honours the caller's
-  // membership choice unconditionally.
-  const membership_mode membership = config.membership;
-  // Snapshot mode publishes the accelerator steady state per epoch: the
-  // hd slot cache is maintained incrementally by the producer and every
+  // Each published epoch carries the accelerator steady state: the hd
+  // slot cache is maintained incrementally by the producer and every
   // shard resolves from the shared frozen slot array.  The reference
-  // above keeps the cache off, so matches_reference also certifies the
-  // maintained cache against cold decoding.  Note the replicated mode
-  // deliberately keeps the caller's cache setting (PR-2 pipeline as it
-  // shipped): the two modes are compared as architectures, not as a
-  // single-variable ablation — see docs/BENCHMARKS.md.
+  // above keeps the caller's setting, so matches_reference also
+  // certifies the maintained cache against cold decoding.
   table_options sharded_opts = opts;
-  if (membership == membership_mode::snapshot) {
-    sharded_opts.hd.slot_cache = true;
-  }
+  sharded_opts.hd.slot_cache = true;
 
   std::vector<shard_sweep_point> series;
   series.reserve(config.shard_counts.size());
@@ -115,10 +60,8 @@ std::vector<shard_sweep_point> run_shard_sweep(std::string_view algorithm,
     emu_config.shards = shards;
     emu_config.producers = config.producers;
     emu_config.buffer_capacity = config.buffer_capacity;
-    emu_config.membership = membership;
     emu_config.shadow = config.shadow;
     emu_config.placement = config.placement;
-    emu_config.channel = config.channel;
     sharded_emulator emu(
         [&](std::size_t) { return make_table(algorithm, sharded_opts); },
         emu_config);

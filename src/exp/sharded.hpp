@@ -29,17 +29,9 @@ struct shard_sweep_config {
   std::size_t requests = 40'000;   ///< requests per point
   double churn_rate = 0.0;         ///< join/leave probability per slot
   std::size_t buffer_capacity = 256;  ///< per-shard batch size
-  /// Mesh producer threads per point (>= 1; snapshot mode only when
-  /// above 1 — see sharded_config::producers).
+  /// Mesh producer threads per point (>= 1; see
+  /// sharded_config::producers).
   std::size_t producers = 1;
-  /// Shard-channel implementation of every point's ingest mesh.
-  channel_kind channel = default_channel_kind();
-  /// Membership mode of the sharded runs (the reference run is always a
-  /// plain single-table emulator).  Snapshot by default — epoch-
-  /// published shared state; shadow oracles work in either mode (an
-  /// epoch-published pristine clone in snapshot mode, one clone per
-  /// replica in replicated mode).
-  membership_mode membership = membership_mode::snapshot;
   bool shadow = false;             ///< pristine mismatch oracle per run
   /// Worker placement policy of every sharded run (src/runtime/):
   /// compact by default (HDHASH_PIN overrides process-wide); never
@@ -61,10 +53,10 @@ struct shard_sweep_point {
   double wall_requests_per_second = 0.0;
   /// aggregate rate relative to this sweep's first point.
   double aggregate_speedup = 0.0;
-  /// End-of-run resident table bytes (N replicas in replicated mode;
-  /// ~one table plus snapshot bookkeeping in snapshot mode).
+  /// End-of-run resident table bytes (~one table plus snapshot
+  /// bookkeeping).
   std::size_t table_memory_bytes = 0;
-  /// Epoch snapshots actually published (snapshot mode; 0 otherwise).
+  /// Epoch snapshots actually published.
   std::size_t snapshots_published = 0;
   /// Placement policy the point's workers ran under.
   runtime::placement_policy placement = runtime::placement_policy::none;
@@ -76,11 +68,10 @@ struct shard_sweep_point {
   bool matches_reference = false;
 };
 
-/// Runs the sweep for one algorithm.  In replicated mode every shard
-/// builds an identical table replica; in snapshot mode one producer
-/// table is built per point — with the hd slot cache enabled, so each
-/// published epoch carries the fully resolved accelerator-steady-state
-/// slot array that all shards share.  The reference run uses one more
+/// Runs the sweep for one algorithm.  One producer table is built per
+/// point — with the hd slot cache enabled, so each published epoch
+/// carries the fully resolved accelerator-steady-state slot array that
+/// all shards share.  The reference run uses one more
 /// instance of the caller's *unmodified* options (the real associative
 /// query), so the determinism check also certifies that the maintained
 /// slot cache answers bit-identically to cold decoding.
@@ -93,49 +84,7 @@ std::vector<shard_sweep_point> run_shard_sweep(std::string_view algorithm,
 /// straight from --shards).
 std::vector<std::size_t> shard_count_sweep(std::size_t max_shards);
 
-// ---------------------------------------------------------------------
-// Deprecated per-flag scanners.  All emulator flags now parse through
-// one surface — `parse_emulator_options` (exp/emulator_options.hpp) —
-// which also knows `--producers` and `--channel` and collects every
-// malformed flag into one error list.  These shims (wrappers over the
-// unified parser) keep old out-of-tree drivers compiling.
-
-/// Result of scanning argv for `--shards`: distinguishes "not asked
-/// for" from "asked for but malformed" so drivers can error loudly
-/// instead of silently skipping the panel the user requested.
-struct shards_flag {
-  bool present = false;   ///< the flag appeared on the command line
-  std::size_t value = 0;  ///< parsed count; 0 when absent or invalid
-  /// The value was the literal `auto`: sized to the host topology via
-  /// runtime::auto_shard_count (value carries the resolved count).
-  bool auto_sized = false;
-};
-
-/// \deprecated Use parse_emulator_options() — its `shards_set` /
-/// `shards_auto` / `shards` fields carry the same information.
-[[deprecated("use parse_emulator_options (exp/emulator_options.hpp)")]]
-shards_flag parse_shards_flag(int argc, char** argv);
-
-/// Result of scanning argv for `--pin <policy>` / `--pin=<policy>`:
-/// distinguishes absent (use the default policy) from present-but-
-/// unknown (drivers error loudly, listing the valid names).
-struct pin_flag {
-  bool present = false;  ///< the flag appeared on the command line
-  bool valid = false;    ///< its value parsed as a placement policy
-  runtime::placement_policy policy = runtime::placement_policy::none;
-};
-
-/// \deprecated Use parse_emulator_options() — its `placement_set` /
-/// `placement` fields (plus `errors`) carry the same information.
-[[deprecated("use parse_emulator_options (exp/emulator_options.hpp)")]]
-pin_flag parse_pin_flag(int argc, char** argv);
-
-/// \deprecated Use parse_emulator_options() — its `membership` field
-/// reports replicated when the flag is present.
-[[deprecated("use parse_emulator_options (exp/emulator_options.hpp)")]]
-bool parse_replicated_flag(int argc, char** argv);
-
-// parse_positive_value lives in exp/emulator_options.hpp now (it is a
+// parse_positive_value lives in exp/emulator_options.hpp (it is a
 // generic strict CLI integer parser, not an emulator knob) and is
 // re-exported here by the include above.
 

@@ -9,9 +9,9 @@
 /// runtime question: explicit hugepages need a reserved pool
 /// (`vm.nr_hugepages`), transparent hugepages can be disabled system-
 /// wide, and containers routinely mask both.  Following the
-/// `io_backend` convention, the request is an env/flag choice that
-/// degrades transparently in `auto` mode and fails loudly for explicit
-/// unsupported choices — asking for `huge` on a hugepage-less host must
+/// `HDHASH_FORCE_KERNEL` convention, the request is an env/flag choice
+/// that degrades transparently in `auto` mode and fails loudly for
+/// explicit unsupported choices — asking for `huge` on a hugepage-less host must
 /// never silently hand back 4KB mappings.
 ///
 /// The mapping syscalls themselves sit behind an injectable

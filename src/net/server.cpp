@@ -69,7 +69,6 @@ struct connection {
 struct net_server::impl {
   table_factory factory;
   server_config config;
-  io_backend backend = io_backend::epoll;
 
   unique_fd listener;
   std::uint16_t bound_port = 0;
@@ -83,8 +82,8 @@ struct net_server::impl {
     impl* server = nullptr;
     std::size_t index = 0;
     /// This loop's private stream_router producer row: flushes push
-    /// ROUTE slices straight into single-producer shard lanes —
-    /// lock-free end to end with the default ring channels.
+    /// ROUTE slices straight into single-producer shard rings —
+    /// lock-free end to end.
     stream_router::session route;
     unique_fd epoll_fd;
     unique_fd wake_fd;
@@ -535,7 +534,7 @@ std::string net_server::impl::render_stats() {
       "epoch=%llu\r\nsnapshots_published=%zu\r\nshards=%zu\r\n"
       "io_threads=%zu\r\nconnections_open=%llu\r\n"
       "connections_accepted=%llu\r\njoins=%llu\r\nleaves=%llu\r\n"
-      "protocol_errors=%llu\r\nio_backend=%s\r\n"
+      "protocol_errors=%llu\r\n"
       "arena_backing=%s\r\nresident_pages=%zu\r\nhugepage_bytes=%zu",
       static_cast<unsigned long long>(route_engine->requests_routed()),
       static_cast<unsigned long long>(route_engine->batches_routed()),
@@ -551,7 +550,6 @@ std::string net_server::impl::render_stats() {
           leaves.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
           protocol_errors.load(std::memory_order_relaxed)),
-      std::string(to_string(backend)).c_str(),
       std::string(mem::to_string(arenas.backing)).c_str(),
       arenas.resident_pages, arenas.hugepage_bytes);
   return std::string(line, static_cast<std::size_t>(written));
@@ -582,7 +580,6 @@ net_server::~net_server() {
 void net_server::start() {
   impl& s = *impl_;
   HDHASH_REQUIRE(!s.started, "net server already started");
-  s.backend = select_io_backend();
   std::string error;
   s.listener = tcp_listen(s.config.bind_address, s.config.port, 512,
                           &s.bound_port, &error);
@@ -599,7 +596,6 @@ void net_server::start() {
   router_config.shards = s.config.shards;
   router_config.sessions = io;  // one private producer row per io loop
   router_config.channel_depth = s.config.channel_depth;
-  router_config.channel = s.config.channel;
   s.route_engine = std::make_unique<stream_router>(std::move(table), *s.pool,
                                                    io, router_config);
   s.route_engine->start();
@@ -707,12 +703,6 @@ stream_router& net_server::router() {
   return *impl_->route_engine;
 }
 
-io_backend net_server::backend() const noexcept { return impl_->backend; }
-
-const io_backend_probe& net_server::probe() const noexcept {
-  return probe_io_backends();
-}
-
 const server_config& net_server::config() const noexcept {
   return impl_->config;
 }
@@ -754,12 +744,6 @@ const stream_router& net_server::router() const {
 
 stream_router& net_server::router() {
   HDHASH_REQUIRE(false, "net server unsupported on this platform");
-}
-
-io_backend net_server::backend() const noexcept { return io_backend::epoll; }
-
-const io_backend_probe& net_server::probe() const noexcept {
-  return probe_io_backends();
 }
 
 const server_config& net_server::config() const noexcept {

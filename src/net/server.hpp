@@ -41,7 +41,6 @@
 #include <string>
 
 #include "emu/stream_router.hpp"
-#include "net/io_backend.hpp"
 #include "runtime/placement_plan.hpp"
 #include "table/dynamic_table.hpp"
 
@@ -59,13 +58,10 @@ struct server_config {
   /// ROUTE batch flush threshold per connection (the emulator's batch
   /// size; partial batches flush at end-of-readable-data regardless).
   std::size_t batch_capacity = 256;
-  /// Per-lane channel depth before submit() backpressures the reactor.
+  /// Per-lane ring depth before submit() backpressures the reactor.
+  /// Each io loop owns a private stream_router session: one
+  /// single-producer ring per shard.
   std::size_t channel_depth = 4;
-  /// Shard-channel implementation of the router's ingest mesh: each io
-  /// loop owns a private stream_router session (one single-producer
-  /// lane per shard), lock-free rings by default (HDHASH_CHANNEL to
-  /// override process-wide).
-  channel_kind channel = default_channel_kind();
   /// Placement policy of the shared worker pool (io workers take the
   /// first CPUs in policy order, shard workers the next — the io/shard
   /// core split).
@@ -120,10 +116,6 @@ class net_server {
   /// The routing engine (membership, epoch and routing statistics).
   const stream_router& router() const;
   stream_router& router();
-
-  /// Reactor backend in use and the host capability probe behind it.
-  io_backend backend() const noexcept;
-  const io_backend_probe& probe() const noexcept;
 
   const server_config& config() const noexcept;
 

@@ -1,54 +1,34 @@
-/// Channel conformance and torture suite: every contract in the
-/// shard-channel concept (emu/channel.hpp), asserted against BOTH
-/// implementations — the lock-free spsc_ring and the mutex_channel
-/// reference — through the shard_channel run-time wrapper, plus the
-/// M-producer × N-shard ingest mesh and the standalone buffer_pool.
+/// Channel conformance and torture suite: every contract of the
+/// lock-free spsc_ring (emu/spsc_ring.hpp), plus the M-producer ×
+/// N-shard ingest mesh and the standalone buffer_pool.
 ///
 /// The threaded tests here are the TSan targets for the ingest layer
 /// (ctest -L channel): SPSC wraparound under concurrent push/pop,
 /// close-while-full (the PR-7 deadlock regression), close-while-empty,
 /// cross-producer mesh interleavings, and pool recycling reuse.
-#include "emu/channel.hpp"
+#include "emu/spsc_ring.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <numeric>
-#include <string>
+#include <chrono>
+#include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
-#include "emu/batch_channel.hpp"
 #include "emu/buffer_pool.hpp"
 #include "emu/ingest.hpp"
-#include "emu/spsc_ring.hpp"
 #include "util/require.hpp"
 
 namespace hdhash {
 namespace {
 
 // ---------------------------------------------------------------------
-// Conformance: every contract test runs against both implementations.
+// Conformance: the channel contract every ingest pipeline relies on.
 
-class ChannelConformanceTest
-    : public ::testing::TestWithParam<channel_kind> {};
-
-INSTANTIATE_TEST_SUITE_P(BothKinds, ChannelConformanceTest,
-                         ::testing::Values(channel_kind::ring,
-                                           channel_kind::mutex),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
-
-TEST_P(ChannelConformanceTest, ReportsItsKind) {
-  shard_channel<int> channel(GetParam(), 4);
-  EXPECT_EQ(channel.kind(), GetParam());
-  EXPECT_GE(channel.capacity(), 4u);
-}
-
-TEST_P(ChannelConformanceTest, FifoOrder) {
-  shard_channel<int> channel(GetParam(), 8);
+TEST(ChannelConformanceTest, FifoOrder) {
+  spsc_ring<int> channel(8);
   for (int i = 0; i < 8; ++i) {
     channel.push(int{i});
   }
@@ -60,8 +40,8 @@ TEST_P(ChannelConformanceTest, FifoOrder) {
   EXPECT_EQ(channel.try_pop(out), pop_status::empty);
 }
 
-TEST_P(ChannelConformanceTest, TryPushReportsFullWithoutConsuming) {
-  shard_channel<int> channel(GetParam(), 2);
+TEST(ChannelConformanceTest, TryPushReportsFullWithoutConsuming) {
+  spsc_ring<int> channel(2);
   const std::size_t capacity = channel.capacity();
   for (std::size_t i = 0; i < capacity; ++i) {
     int item = static_cast<int>(i);
@@ -72,10 +52,10 @@ TEST_P(ChannelConformanceTest, TryPushReportsFullWithoutConsuming) {
   EXPECT_EQ(extra, 99);  // untouched on full
 }
 
-TEST_P(ChannelConformanceTest, SingleThreadedWraparound) {
-  // Many push/pop rounds through a tiny channel exercise index
-  // wraparound (for the ring: free-running cursors crossing the mask).
-  shard_channel<std::uint64_t> channel(GetParam(), 2);
+TEST(ChannelConformanceTest, SingleThreadedWraparound) {
+  // Many push/pop rounds through a tiny ring exercise index wraparound
+  // (free-running cursors crossing the mask).
+  spsc_ring<std::uint64_t> channel(2);
   std::uint64_t out = 0;
   for (std::uint64_t round = 0; round < 1000; ++round) {
     channel.push(round * 2);
@@ -88,8 +68,8 @@ TEST_P(ChannelConformanceTest, SingleThreadedWraparound) {
   EXPECT_EQ(channel.try_pop(out), pop_status::empty);
 }
 
-TEST_P(ChannelConformanceTest, PushAfterCloseThrowsLoudly) {
-  shard_channel<int> channel(GetParam(), 4);
+TEST(ChannelConformanceTest, PushAfterCloseThrowsLoudly) {
+  spsc_ring<int> channel(4);
   channel.push(1);
   channel.close();
   EXPECT_TRUE(channel.closed());
@@ -98,8 +78,8 @@ TEST_P(ChannelConformanceTest, PushAfterCloseThrowsLoudly) {
   EXPECT_EQ(channel.try_push(item), push_status::closed);
 }
 
-TEST_P(ChannelConformanceTest, PopDrainsThenReportsClosed) {
-  shard_channel<int> channel(GetParam(), 4);
+TEST(ChannelConformanceTest, PopDrainsThenReportsClosed) {
+  spsc_ring<int> channel(4);
   channel.push(7);
   channel.push(8);
   channel.close();
@@ -112,8 +92,8 @@ TEST_P(ChannelConformanceTest, PopDrainsThenReportsClosed) {
   EXPECT_FALSE(channel.pop(out));
 }
 
-TEST_P(ChannelConformanceTest, CloseWhileEmptyWakesBlockedPop) {
-  shard_channel<int> channel(GetParam(), 4);
+TEST(ChannelConformanceTest, CloseWhileEmptyWakesBlockedPop) {
+  spsc_ring<int> channel(4);
   std::atomic<bool> popped{false};
   std::thread consumer([&] {
     int out = -1;
@@ -130,10 +110,10 @@ TEST_P(ChannelConformanceTest, CloseWhileEmptyWakesBlockedPop) {
 
 // The PR-7 deadlock regression: a push already *blocked* on a full
 // channel must wake and throw channel_closed when close() arrives —
-// the old batch_channel::push waited on a condition close() never
+// the old mutex channel's push waited on a condition close() never
 // signalled and hung forever.
-TEST_P(ChannelConformanceTest, CloseWhileFullWakesBlockedPush) {
-  shard_channel<int> channel(GetParam(), 1);
+TEST(ChannelConformanceTest, CloseWhileFullWakesBlockedPush) {
+  spsc_ring<int> channel(1);
   const std::size_t capacity = channel.capacity();
   for (std::size_t i = 0; i < capacity; ++i) {
     channel.push(static_cast<int>(i));  // fill to the brim
@@ -154,12 +134,12 @@ TEST_P(ChannelConformanceTest, CloseWhileFullWakesBlockedPush) {
   EXPECT_TRUE(threw.load());
 }
 
-TEST_P(ChannelConformanceTest, SpscTortureKeepsOrderAndLosesNothing) {
-  // One producer races one consumer through a tiny channel long enough
-  // to wrap the ring cursors thousands of times.  FIFO means the
-  // consumer must see exactly 0,1,2,...,N-1.
+TEST(ChannelConformanceTest, SpscTortureKeepsOrderAndLosesNothing) {
+  // One producer races one consumer through a tiny ring long enough to
+  // wrap the cursors thousands of times.  FIFO means the consumer must
+  // see exactly 0,1,2,...,N-1.
   constexpr std::uint64_t kItems = 200'000;
-  shard_channel<std::uint64_t> under_test(GetParam(), 4);
+  spsc_ring<std::uint64_t> under_test(4);
 
   std::thread producer([&] {
     for (std::uint64_t i = 0; i < kItems; ++i) {
@@ -223,29 +203,7 @@ TEST(SpscRingTest, ItemPushedBeforeCloseIsNeverDropped) {
 }
 
 // ---------------------------------------------------------------------
-// channel_kind parsing / environment selection.
-
-TEST(ChannelKindTest, NamesRoundTrip) {
-  EXPECT_EQ(to_string(channel_kind::ring), "ring");
-  EXPECT_EQ(to_string(channel_kind::mutex), "mutex");
-  EXPECT_EQ(parse_channel_kind("ring"), channel_kind::ring);
-  EXPECT_EQ(parse_channel_kind("mutex"), channel_kind::mutex);
-  EXPECT_FALSE(parse_channel_kind("lockfree").has_value());
-  EXPECT_FALSE(parse_channel_kind("").has_value());
-}
-
-TEST(ChannelKindTest, DefaultHonorsEnvironment) {
-  ::unsetenv("HDHASH_CHANNEL");
-  EXPECT_EQ(default_channel_kind(), channel_kind::ring);
-  ::setenv("HDHASH_CHANNEL", "mutex", 1);
-  EXPECT_EQ(default_channel_kind(), channel_kind::mutex);
-  ::setenv("HDHASH_CHANNEL", "bogus", 1);
-  EXPECT_THROW(default_channel_kind(), precondition_error);
-  ::unsetenv("HDHASH_CHANNEL");
-}
-
-// ---------------------------------------------------------------------
-// buffer_pool: the recycling half of the old batch_channel, standalone.
+// buffer_pool: the recycling round-trip, standalone.
 
 TEST(BufferPoolTest, TakeFromEmptyPoolFails) {
   buffer_pool<std::vector<int>> pool;
@@ -304,7 +262,7 @@ struct tagged_item {
 };
 
 TEST(IngestMeshTest, LaneIndexingIsProducerMajor) {
-  ingest_mesh<int> mesh(2, 3, 4, channel_kind::ring);
+  ingest_mesh<int> mesh(2, 3, 4);
   EXPECT_EQ(mesh.producers(), 2u);
   EXPECT_EQ(mesh.shards(), 3u);
   mesh.lane(1, 2).push(42);
@@ -315,7 +273,7 @@ TEST(IngestMeshTest, LaneIndexingIsProducerMajor) {
 }
 
 TEST(IngestMeshTest, ConsumerClosesOnlyWhenAllLanesClose) {
-  ingest_mesh<int> mesh(2, 1, 4, channel_kind::ring);
+  ingest_mesh<int> mesh(2, 1, 4);
   auto consumer = mesh.consumer(0);
   auto session0 = mesh.session(0);
   auto session1 = mesh.session(1);
@@ -337,7 +295,7 @@ TEST(IngestMeshTest, ConsumerClosesOnlyWhenAllLanesClose) {
 TEST(IngestMeshTest, RoundRobinScanDoesNotStarveLanes) {
   // Producer 0 keeps its lane full; producer 1's items must still get
   // through within a bounded number of pops.
-  ingest_mesh<tagged_item> mesh(2, 1, 4, channel_kind::ring);
+  ingest_mesh<tagged_item> mesh(2, 1, 4);
   auto consumer = mesh.consumer(0);
   mesh.lane(0, 0).push({0, 0});
   mesh.lane(0, 0).push({0, 1});
@@ -354,16 +312,7 @@ TEST(IngestMeshTest, RoundRobinScanDoesNotStarveLanes) {
   EXPECT_TRUE(saw_producer1);
 }
 
-class IngestMeshTortureTest : public ::testing::TestWithParam<channel_kind> {};
-
-INSTANTIATE_TEST_SUITE_P(BothKinds, IngestMeshTortureTest,
-                         ::testing::Values(channel_kind::ring,
-                                           channel_kind::mutex),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
-
-TEST_P(IngestMeshTortureTest, MxNMeshDeliversEverythingInPerProducerOrder) {
+TEST(IngestMeshTortureTest, MxNMeshDeliversEverythingInPerProducerOrder) {
   // M producer threads each stream kItems tagged items round-robin at N
   // consumer threads.  Every consumer checks per-producer FIFO (the
   // mesh's ordering guarantee) and the totals prove nothing was lost
@@ -371,7 +320,7 @@ TEST_P(IngestMeshTortureTest, MxNMeshDeliversEverythingInPerProducerOrder) {
   constexpr std::size_t kProducers = 3;
   constexpr std::size_t kShards = 2;
   constexpr std::uint64_t kItems = 20'000;
-  ingest_mesh<tagged_item> mesh(kProducers, kShards, 4, GetParam());
+  ingest_mesh<tagged_item> mesh(kProducers, kShards, 4);
 
   std::vector<std::thread> threads;
   std::atomic<std::uint64_t> delivered{0};
@@ -412,11 +361,11 @@ TEST_P(IngestMeshTortureTest, MxNMeshDeliversEverythingInPerProducerOrder) {
   EXPECT_EQ(order_faults.load(), 0);
 }
 
-TEST_P(IngestMeshTortureTest, MeshCloseUnblocksStalledProducers) {
+TEST(IngestMeshTortureTest, MeshCloseUnblocksStalledProducers) {
   // Producers blocked on full lanes (no consumer running) must all
   // wake and fail loudly when the mesh force-closes — the stop path.
   constexpr std::size_t kProducers = 2;
-  ingest_mesh<int> mesh(kProducers, 1, 1, GetParam());
+  ingest_mesh<int> mesh(kProducers, 1, 1);
   std::atomic<int> threw{0};
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
@@ -438,40 +387,6 @@ TEST_P(IngestMeshTortureTest, MeshCloseUnblocksStalledProducers) {
   }
   EXPECT_EQ(threw.load(), static_cast<int>(kProducers));
 }
-
-// ---------------------------------------------------------------------
-// The deprecated batch_channel shim still honors the historical API —
-// minus the deadlock: push after close now fails loudly.
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-TEST(BatchChannelShimTest, PushPopRecycleRoundTrip) {
-  batch_channel<std::vector<int>> channel;
-  channel.push({1, 2, 3});
-  std::vector<int> batch;
-  ASSERT_TRUE(channel.pop(batch));
-  EXPECT_EQ(batch, (std::vector<int>{1, 2, 3}));
-  channel.recycle(std::move(batch));
-  std::vector<int> reused;
-  EXPECT_TRUE(channel.take_recycled(reused));
-  channel.close();
-  EXPECT_FALSE(channel.pop(reused));
-}
-
-TEST(BatchChannelShimTest, PushAfterCloseThrowsInsteadOfDeadlocking) {
-  batch_channel<std::vector<int>> channel;
-  channel.push({1});
-  channel.push({2});  // full at the historical depth of 2
-  channel.close();
-  EXPECT_THROW(channel.push({3}), channel_closed);
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 }  // namespace
 }  // namespace hdhash

@@ -11,6 +11,7 @@
 #include "emu/emulator.hpp"
 #include "emu/generator.hpp"
 #include "emu/sharded_emulator.hpp"
+#include "emu/stream_router.hpp"
 #include "exp/factory.hpp"
 #include "exp/sharded.hpp"
 #include "util/require.hpp"
@@ -128,28 +129,22 @@ TEST(ShardedEmulatorTest, MergedStatsEqualSingleTableReference) {
     emulator reference(*reference_table, 256);
     const run_stats expected = reference.run(events);
 
-    for (const auto membership : {membership_mode::snapshot,
-                                  membership_mode::replicated}) {
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                       std::size_t{4}}) {
-        sharded_config config;
-        config.shards = shards;
-        config.membership = membership;
-        sharded_emulator emu(factory_for(algorithm), config);
-        const sharded_report report = emu.run(events);
-        const char* mode =
-            membership == membership_mode::snapshot ? "snapshot" : "replicated";
-        EXPECT_EQ(report.merged.requests, expected.requests)
-            << algorithm << " " << mode << " shards=" << shards;
-        EXPECT_EQ(report.merged.joins, expected.joins)
-            << algorithm << " " << mode << " shards=" << shards;
-        EXPECT_EQ(report.merged.leaves, expected.leaves)
-            << algorithm << " " << mode << " shards=" << shards;
-        // The headline determinism guarantee: the merged per-server load
-        // histogram is bit-identical to the single-table run.
-        EXPECT_EQ(report.merged.load, expected.load)
-            << algorithm << " " << mode << " shards=" << shards;
-      }
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                     std::size_t{4}}) {
+      sharded_config config;
+      config.shards = shards;
+      sharded_emulator emu(factory_for(algorithm), config);
+      const sharded_report report = emu.run(events);
+      EXPECT_EQ(report.merged.requests, expected.requests)
+          << algorithm << " shards=" << shards;
+      EXPECT_EQ(report.merged.joins, expected.joins)
+          << algorithm << " shards=" << shards;
+      EXPECT_EQ(report.merged.leaves, expected.leaves)
+          << algorithm << " shards=" << shards;
+      // The headline determinism guarantee: the merged per-server load
+      // histogram is bit-identical to the single-table run.
+      EXPECT_EQ(report.merged.load, expected.load)
+          << algorithm << " shards=" << shards;
     }
   }
 }
@@ -158,7 +153,7 @@ TEST(ShardedEmulatorTest, PlacementPoliciesNeverChangeAssignments) {
   // The acceptance bar of the runtime layer: placement decides *where*
   // workers execute, never *what* they answer — the merged histogram is
   // bit-identical to the single-table reference under every policy at
-  // 1–8 shards (snapshot membership, churny stream).
+  // 1–8 shards (churny stream).
   const generator gen(churn_workload());
   const auto events = gen.generate();
   auto reference_table = make_table("hd-hierarchical", fast_options());
@@ -196,47 +191,21 @@ TEST(ShardedEmulatorTest, PlacementPoliciesNeverChangeAssignments) {
   }
 }
 
-TEST(ShardedEmulatorTest, EveryShardReplicatesTheFullPool) {
-  const generator gen(churn_workload());
-  const auto events = gen.generate();
-  sharded_config config;
-  config.shards = 3;
-  config.membership = membership_mode::replicated;
-  sharded_emulator emu(factory_for("consistent"), config);
-  const sharded_report report = emu.run(events);
-  ASSERT_EQ(report.per_shard.size(), 3u);
-  std::size_t shard_requests = 0;
-  for (std::size_t s = 0; s < emu.shards(); ++s) {
-    // Broadcast membership: every replica applied every join/leave.
-    EXPECT_EQ(report.per_shard[s].joins, report.merged.joins);
-    EXPECT_EQ(report.per_shard[s].leaves, report.merged.leaves);
-    EXPECT_EQ(emu.table(s).server_count(),
-              report.merged.joins - report.merged.leaves);
-    shard_requests += report.per_shard[s].requests;
-  }
-  // Partitioned requests: each answered in exactly one shard.
-  EXPECT_EQ(shard_requests, report.merged.requests);
-}
-
 TEST(ShardedEmulatorTest, ShadowOraclesSeeNoMismatch) {
-  // In both membership modes an uncorrupted run must agree with its
-  // shadow on every answer (the deeper conformance suite — corrupted
-  // tables, bit-identical counts across modes — lives in
+  // An uncorrupted run must agree with its shadow on every answer (the
+  // deeper conformance suite — corrupted tables, counts bit-identical
+  // to a per-shard emulator reference — lives in
   // scenario_oracle_test.cpp).
   const generator gen(churn_workload());
   const auto events = gen.generate();
-  for (const auto membership : {membership_mode::snapshot,
-                                membership_mode::replicated}) {
-    sharded_config config;
-    config.shards = 4;
-    config.shadow = true;
-    config.membership = membership;
-    sharded_emulator emu(factory_for("hd-hierarchical"), config);
-    const sharded_report report = emu.run(events);
-    EXPECT_GT(report.merged.requests, 0u);
-    EXPECT_EQ(report.merged.mismatches, 0u);
-    EXPECT_EQ(report.merged.invalid_assignments, 0u);
-  }
+  sharded_config config;
+  config.shards = 4;
+  config.shadow = true;
+  sharded_emulator emu(factory_for("hd-hierarchical"), config);
+  const sharded_report report = emu.run(events);
+  EXPECT_GT(report.merged.requests, 0u);
+  EXPECT_EQ(report.merged.mismatches, 0u);
+  EXPECT_EQ(report.merged.invalid_assignments, 0u);
 }
 
 TEST(ShardedEmulatorTest, DegenerateConfigurationsStillComplete) {
@@ -249,17 +218,13 @@ TEST(ShardedEmulatorTest, DegenerateConfigurationsStillComplete) {
   emulator reference(*reference_table, 256);
   const run_stats expected = reference.run(events);
 
-  for (const auto membership : {membership_mode::snapshot,
-                                membership_mode::replicated}) {
-    for (const std::size_t buffer : {std::size_t{1}, std::size_t{7}}) {
-      sharded_config config;
-      config.shards = 2;
-      config.buffer_capacity = buffer;  // every event its own batch, odd size
-      config.membership = membership;
-      sharded_emulator emu(factory_for("consistent"), config);
-      const sharded_report report = emu.run(events);
-      EXPECT_EQ(report.merged.load, expected.load) << "buffer=" << buffer;
-    }
+  for (const std::size_t buffer : {std::size_t{1}, std::size_t{7}}) {
+    sharded_config config;
+    config.shards = 2;
+    config.buffer_capacity = buffer;  // every event its own batch, odd size
+    sharded_emulator emu(factory_for("consistent"), config);
+    const sharded_report report = emu.run(events);
+    EXPECT_EQ(report.merged.load, expected.load) << "buffer=" << buffer;
   }
 }
 
@@ -302,7 +267,6 @@ TEST(ShardedEmulatorTest, MultiProducerMeshStaysDeterministic) {
       sharded_config config;
       config.shards = shards;
       config.producers = producers;
-      config.membership = membership_mode::snapshot;
       sharded_emulator emu(factory_for("hd-hierarchical"), config);
       const sharded_report report = emu.run(events);
       EXPECT_EQ(report.merged.load, expected.load)
@@ -358,28 +322,6 @@ TEST(ShardedEmulatorTest, RetiredEpochsDrainWhileTheRunIsInFlight) {
   EXPECT_EQ(census->live.load(), 1);
 }
 
-TEST(ShardedEmulatorTest, MutexChannelProducesIdenticalResults) {
-  // --channel mutex is the A/B reference: swapping the channel
-  // implementation must never change a single assignment, with one
-  // producer or several.
-  const generator gen(churn_workload());
-  const auto events = gen.generate();
-  auto reference_table = make_table("hd-hierarchical", fast_options());
-  emulator reference(*reference_table, 256);
-  const run_stats expected = reference.run(events);
-
-  for (const std::size_t producers : {std::size_t{1}, std::size_t{2}}) {
-    sharded_config config;
-    config.shards = 2;
-    config.producers = producers;
-    config.channel = channel_kind::mutex;
-    sharded_emulator emu(factory_for("hd-hierarchical"), config);
-    const sharded_report report = emu.run(events);
-    EXPECT_EQ(report.merged.load, expected.load) << "producers=" << producers;
-    EXPECT_EQ(report.channel, channel_kind::mutex);
-  }
-}
-
 TEST(ShardedEmulatorTest, MultiProducerSweepMatchesReference) {
   shard_sweep_config config;
   config.shard_counts = {1, 2};
@@ -408,17 +350,27 @@ TEST(ShardedEmulatorTest, RejectsInvalidConfiguration) {
   zero_producers.producers = 0;
   EXPECT_THROW(sharded_emulator(factory_for("consistent"), zero_producers),
                precondition_error);
-  // Replicated membership broadcasts events in stream order — that
-  // needs the single-producer pipeline.
-  sharded_config multi_replicated;
-  multi_replicated.producers = 2;
-  multi_replicated.membership = membership_mode::replicated;
-  EXPECT_THROW(sharded_emulator(factory_for("consistent"), multi_replicated),
-               precondition_error);
   sharded_config zero_depth;
   zero_depth.channel_depth = 0;
   EXPECT_THROW(sharded_emulator(factory_for("consistent"), zero_depth),
                precondition_error);
+}
+
+TEST(StreamRouterTest, EveryBatchEntersThroughASession) {
+  // Every batch enters through a session, so a router needs at least
+  // one and hands out exactly config.sessions of them.
+  runtime::worker_pool pool(1, runtime::placement_policy::none);
+  stream_router::config none;
+  none.sessions = 0;
+  EXPECT_THROW(stream_router(make_table("consistent", fast_options()), pool,
+                             0, none),
+               precondition_error);
+
+  stream_router::config two;
+  two.sessions = 2;
+  stream_router router(make_table("consistent", fast_options()), pool, 0, two);
+  EXPECT_NO_THROW(router.open_session(1));
+  EXPECT_THROW(router.open_session(two.sessions), precondition_error);
 }
 
 TEST(RunStatsMergeTest, SumsCountersAndLoadHistograms) {

@@ -1,6 +1,6 @@
 /// The unified emulator flag parser (exp/emulator_options.hpp): flag
-/// forms, auto sizing, error collection, apply() onto sharded_config,
-/// and the deprecated per-flag shims it replaced.
+/// forms, auto sizing, error collection and apply() onto
+/// sharded_config.
 #include "exp/emulator_options.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <string_view>
 #include <vector>
 
-#include "exp/sharded.hpp"
 #include "runtime/cpu_topology.hpp"
 #include "runtime/placement_plan.hpp"
 #include "scenario/playbooks.hpp"
@@ -28,7 +27,6 @@ emulator_options parse(std::vector<const char*> args) {
 
 TEST(EmulatorOptionsTest, DefaultsWhenNoFlagsGiven) {
   ::unsetenv("HDHASH_PIN");
-  ::unsetenv("HDHASH_CHANNEL");
   const emulator_options opts = parse({});
   EXPECT_TRUE(opts.ok());
   EXPECT_FALSE(opts.shards_set);
@@ -36,9 +34,6 @@ TEST(EmulatorOptionsTest, DefaultsWhenNoFlagsGiven) {
   EXPECT_FALSE(opts.producers_set);
   EXPECT_EQ(opts.producers, 1u);
   EXPECT_FALSE(opts.placement_set);
-  EXPECT_EQ(opts.membership, membership_mode::snapshot);
-  EXPECT_FALSE(opts.channel_set);
-  EXPECT_EQ(opts.channel, channel_kind::ring);
 }
 
 TEST(EmulatorOptionsTest, ParsesBothFlagForms) {
@@ -54,15 +49,11 @@ TEST(EmulatorOptionsTest, ParsesBothFlagForms) {
   EXPECT_EQ(spaced.producers, 2u);
 }
 
-TEST(EmulatorOptionsTest, ParsesMembershipPlacementAndChannel) {
-  const emulator_options opts =
-      parse({"--replicated", "--pin=scatter", "--channel=mutex"});
+TEST(EmulatorOptionsTest, ParsesPlacement) {
+  const emulator_options opts = parse({"--pin=scatter"});
   EXPECT_TRUE(opts.ok());
-  EXPECT_EQ(opts.membership, membership_mode::replicated);
   EXPECT_TRUE(opts.placement_set);
   EXPECT_EQ(opts.placement, runtime::placement_policy::scatter);
-  EXPECT_TRUE(opts.channel_set);
-  EXPECT_EQ(opts.channel, channel_kind::mutex);
 }
 
 TEST(EmulatorOptionsTest, AutoValuesResolveAgainstTopology) {
@@ -104,7 +95,7 @@ TEST(EmulatorOptionsTest, UnknownFlagsAreIgnored) {
 
 TEST(EmulatorOptionsTest, CollectsEveryMalformedFlag) {
   const emulator_options opts =
-      parse({"--shards=zero", "--pin=everywhere", "--channel=lockfree"});
+      parse({"--shards=zero", "--pin=everywhere", "--mem=hugepages"});
   EXPECT_FALSE(opts.ok());
   EXPECT_EQ(opts.errors.size(), 3u);
 }
@@ -139,33 +130,26 @@ TEST(EmulatorOptionsTest, UnknownScenarioCollectsAnErrorListingAll) {
   EXPECT_EQ(opts.errors.size(), 2u);
 }
 
-TEST(EmulatorOptionsTest, RejectsMultiProducerReplicated) {
-  const emulator_options opts = parse({"--producers=2", "--replicated"});
-  EXPECT_FALSE(opts.ok());
-}
-
 TEST(EmulatorOptionsTest, ApplyCopiesOntoShardedConfig) {
   const emulator_options opts =
-      parse({"--shards=4", "--producers=2", "--pin=none", "--channel=mutex"});
+      parse({"--shards=4", "--producers=2", "--pin=none"});
   ASSERT_TRUE(opts.ok());
   sharded_config config;
   opts.apply(config);
   EXPECT_EQ(config.shards, 4u);
   EXPECT_EQ(config.producers, 2u);
   EXPECT_EQ(config.placement, runtime::placement_policy::none);
-  EXPECT_EQ(config.channel, channel_kind::mutex);
-  EXPECT_EQ(config.membership, membership_mode::snapshot);
 }
 
 TEST(EmulatorOptionsTest, ApplyLeavesUnsetKnobsAlone) {
-  const emulator_options opts = parse({"--replicated"});
+  const emulator_options opts = parse({"--pin=scatter"});
   ASSERT_TRUE(opts.ok());
   sharded_config config;
   config.shards = 7;
   config.producers = 1;
   opts.apply(config);
   EXPECT_EQ(config.shards, 7u);  // absent flag leaves the default
-  EXPECT_EQ(config.membership, membership_mode::replicated);
+  EXPECT_EQ(config.placement, runtime::placement_policy::scatter);
 }
 
 TEST(EmulatorOptionsTest, ParsePositiveValueIsStrict) {
@@ -176,45 +160,6 @@ TEST(EmulatorOptionsTest, ParsePositiveValueIsStrict) {
   EXPECT_EQ(parse_positive_value(""), 0u);
   EXPECT_EQ(parse_positive_value("12abc"), 0u);
 }
-
-// The deprecated shims must keep their historical semantics while
-// delegating to the unified parser.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-TEST(DeprecatedFlagShimsTest, ProjectTheUnifiedParser) {
-  std::vector<const char*> args = {"driver", "--shards=4", "--pin=compact",
-                                   "--replicated"};
-  const int argc = static_cast<int>(args.size());
-  char** argv = const_cast<char**>(const_cast<const char**>(args.data()));
-
-  const shards_flag shards = parse_shards_flag(argc, argv);
-  EXPECT_TRUE(shards.present);
-  EXPECT_EQ(shards.value, 4u);
-  EXPECT_FALSE(shards.auto_sized);
-
-  const pin_flag pin = parse_pin_flag(argc, argv);
-  EXPECT_TRUE(pin.present);
-  EXPECT_TRUE(pin.valid);
-  EXPECT_EQ(pin.policy, runtime::placement_policy::compact);
-
-  EXPECT_TRUE(parse_replicated_flag(argc, argv));
-}
-
-TEST(DeprecatedFlagShimsTest, MalformedPinReportsInvalid) {
-  std::vector<const char*> args = {"driver", "--pin=everywhere"};
-  const pin_flag pin = parse_pin_flag(
-      static_cast<int>(args.size()),
-      const_cast<char**>(const_cast<const char**>(args.data())));
-  EXPECT_TRUE(pin.present);
-  EXPECT_FALSE(pin.valid);
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 }  // namespace
 }  // namespace hdhash

@@ -131,7 +131,6 @@ TEST(NetServer, RawSocketCommandSmoke) {
   EXPECT_TRUE(replies[3].value == 1 || replies[3].value == 2);
   EXPECT_EQ(replies[4].type, wire_reply::kind::bulk);
   EXPECT_NE(replies[4].text.find("requests_routed="), std::string::npos);
-  EXPECT_NE(replies[4].text.find("io_backend=epoll"), std::string::npos);
   EXPECT_EQ(replies[5].type, wire_reply::kind::status);
   // Only server 1 remains.
   EXPECT_EQ(replies[6].type, wire_reply::kind::integer);
@@ -380,15 +379,6 @@ TEST(NetServer, StopWithoutTrafficIsClean) {
   EXPECT_TRUE(server.running());
   server.stop();
   EXPECT_FALSE(server.running());
-}
-
-TEST(NetServer, BackendProbeIsReported) {
-  net_server server = make_server(1, 1);
-  EXPECT_EQ(to_string(server.backend()), "epoll");
-  // The probe ran on this host; on Linux epoll is always available.
-#if defined(__linux__)
-  EXPECT_TRUE(server.probe().epoll_supported);
-#endif
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
-/// Shadow-oracle conformance: snapshot-mode shadows (a pristine twin
-/// publisher advancing epochs in lockstep) must produce mismatch and
-/// invalid-assignment counts bit-identical to the replicated-mode
-/// per-shard clones, with and without fault injection — the property
-/// that lets robustness scenarios run on the default snapshot
-/// architecture.  Spins worker threads; runs in the TSan lane.
+/// Shadow-oracle conformance: the sharded emulator's shadows (a
+/// pristine twin publisher advancing epochs in lockstep) must produce
+/// mismatch and invalid-assignment counts bit-identical to a plain
+/// emulator per shard — each with its own pristine clone, replaying the
+/// membership events plus that shard's requests — with and without
+/// fault injection.  That is the property that lets robustness
+/// scenarios run on the epoch-snapshot pipeline.  Spins worker threads;
+/// runs in the TSan lane.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "emu/emulator.hpp"
 #include "emu/sharded_emulator.hpp"
 #include "exp/factory.hpp"
 #include "fault/injector.hpp"
@@ -62,10 +65,10 @@ struct oracle_workload {
   }
 };
 
-/// Deterministic SEU corruption: every table this hook touches — each
-/// replicated-mode replica, the snapshot-mode publisher table — gets
-/// the identical flip set, because the injector is seeded off a
-/// constant, not the shard index.
+/// Deterministic SEU corruption: every table this hook touches — the
+/// sharded emulator's producer table, each per-shard reference table —
+/// gets the identical flip set, because the injector is seeded off a
+/// constant.
 void corrupt_table(dynamic_table& table, std::size_t flips) {
   bit_flip_injector injector(0xFA11);
   injector.inject_random(table, flips);
@@ -76,7 +79,6 @@ TEST(ScenarioOracleTest, CleanSnapshotShadowSeesNoMismatch) {
   sharded_config config;
   config.shards = 2;
   config.shadow = true;
-  config.membership = membership_mode::snapshot;
   sharded_emulator emu(workload.factory("hd"), config);
   const sharded_report report = emu.run(workload.live);
   EXPECT_EQ(report.merged.requests, workload.compiled.requests);
@@ -89,7 +91,6 @@ TEST(ScenarioOracleTest, CorruptionIsCountedAgainstThePristineShadow) {
   sharded_config config;
   config.shards = 2;
   config.shadow = true;
-  config.membership = membership_mode::snapshot;
   config.corrupt = [](dynamic_table& table, std::size_t) {
     corrupt_table(table, 24);
   };
@@ -102,11 +103,12 @@ TEST(ScenarioOracleTest, CorruptionIsCountedAgainstThePristineShadow) {
   EXPECT_LE(report.merged.invalid_assignments, report.merged.mismatches);
 }
 
-TEST(ScenarioOracleTest, SnapshotCountsMatchReplicatedBitForBit) {
-  // The acceptance bar: at 1–8 shards, the snapshot-mode mismatch /
-  // invalid-assignment counts equal the replicated-mode reference
-  // exactly — merged and per shard (request routing is mode-invariant,
-  // so per-shard totals must line up too).
+TEST(ScenarioOracleTest, SnapshotCountsMatchPerShardEmulatorReference) {
+  // The acceptance bar: at 1–8 shards, the sharded mismatch /
+  // invalid-assignment counts equal a per-shard plain-emulator
+  // reference exactly — merged and per shard.  Reference shard s clones
+  // its pristine shadow, then takes the same corruption, then replays
+  // every membership event plus the requests routed to shard s.
   const oracle_workload workload("rack-failure");
   for (const char* algorithm : {"consistent-rank", "hd"}) {
     for (const std::size_t shards :
@@ -117,38 +119,44 @@ TEST(ScenarioOracleTest, SnapshotCountsMatchReplicatedBitForBit) {
       config.corrupt = [](dynamic_table& table, std::size_t) {
         corrupt_table(table, 24);
       };
+      sharded_emulator sharded(workload.factory(algorithm), config);
+      const sharded_report report = sharded.run(workload.live);
+      ASSERT_EQ(report.per_shard.size(), shards);
 
-      config.membership = membership_mode::snapshot;
-      sharded_emulator snap(workload.factory(algorithm), config);
-      const sharded_report snap_report = snap.run(workload.live);
-
-      config.membership = membership_mode::replicated;
-      sharded_emulator repl(workload.factory(algorithm), config);
-      const sharded_report repl_report = repl.run(workload.live);
-
-      EXPECT_EQ(snap_report.merged.requests, repl_report.merged.requests)
-          << algorithm << " shards=" << shards;
-      EXPECT_EQ(snap_report.merged.mismatches, repl_report.merged.mismatches)
-          << algorithm << " shards=" << shards;
-      EXPECT_EQ(snap_report.merged.invalid_assignments,
-                repl_report.merged.invalid_assignments)
-          << algorithm << " shards=" << shards;
-      ASSERT_EQ(snap_report.per_shard.size(), repl_report.per_shard.size());
+      run_stats expected;
       for (std::size_t s = 0; s < shards; ++s) {
-        EXPECT_EQ(snap_report.per_shard[s].mismatches,
-                  repl_report.per_shard[s].mismatches)
+        std::vector<event> stream;
+        for (const event& e : workload.live) {
+          if (e.kind != event_kind::request || sharded.shard_of(e.id) == s) {
+            stream.push_back(e);
+          }
+        }
+        auto table = workload.factory(algorithm)(0);
+        emulator reference(*table);
+        reference.enable_shadow();
+        corrupt_table(*table, 24);
+        const run_stats want = reference.run(stream);
+        expected.merge(want);
+
+        EXPECT_EQ(report.per_shard[s].requests, want.requests)
             << algorithm << " shard " << s << "/" << shards;
-        EXPECT_EQ(snap_report.per_shard[s].invalid_assignments,
-                  repl_report.per_shard[s].invalid_assignments)
+        EXPECT_EQ(report.per_shard[s].mismatches, want.mismatches)
             << algorithm << " shard " << s << "/" << shards;
-        EXPECT_EQ(snap_report.per_shard[s].requests,
-                  repl_report.per_shard[s].requests)
+        EXPECT_EQ(report.per_shard[s].invalid_assignments,
+                  want.invalid_assignments)
             << algorithm << " shard " << s << "/" << shards;
       }
+      EXPECT_EQ(report.merged.requests, expected.requests)
+          << algorithm << " shards=" << shards;
+      EXPECT_EQ(report.merged.mismatches, expected.mismatches)
+          << algorithm << " shards=" << shards;
+      EXPECT_EQ(report.merged.invalid_assignments,
+                expected.invalid_assignments)
+          << algorithm << " shards=" << shards;
       if (algorithm == std::string_view("consistent-rank")) {
         // The corrupted rank table must actually diverge — a zero count
         // on both sides would make this conformance check vacuous.
-        EXPECT_GT(snap_report.merged.mismatches, 0u)
+        EXPECT_GT(report.merged.mismatches, 0u)
             << algorithm << " shards=" << shards;
       }
     }
@@ -165,7 +173,6 @@ TEST(ScenarioOracleTest, ShadowStaysPristineAcrossEpochChurn) {
   sharded_config config;
   config.shards = 4;
   config.shadow = true;
-  config.membership = membership_mode::snapshot;
   config.corrupt = [](dynamic_table& table, std::size_t) {
     corrupt_table(table, 512);
   };
