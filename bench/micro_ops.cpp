@@ -7,9 +7,9 @@
 /// scalar-vs-batch comparison as machine-readable JSON (default path
 /// BENCH_batch_lookup.json) — the file that seeds the perf trajectory.
 /// The JSON records the dispatched SIMD kernel and a per-kernel panel
-/// (every compiled-in kernel the CPU supports, measured on the 4096-dim
-/// batch sweep) so runs on different machines stay comparable and
-/// scripts/check_bench.py can gate regressions.
+/// (every compiled-in kernel the CPU supports, measured on the
+/// capacity-4096 hd batch path) so runs on different machines stay
+/// comparable and scripts/check_bench.py can gate regressions.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,7 +18,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -211,52 +213,68 @@ struct batch_point {
   double batch_ns_per_lookup;
 };
 
-/// Best of three timed trials (after one warm-up call), as ns per
-/// lookup over `rounds` rounds of kBatchSize lookups each.  On shared
-/// hardware the minimum measures the machine, not the neighbours — it
-/// keeps the perf-gate panels stable enough for a 20% regression
-/// threshold.
-template <typename Body>
-double best_of_trials(std::size_t rounds, Body&& body) {
+/// Minimum wall time of one timed trial, and trials per body.
+constexpr std::chrono::milliseconds kTrialTime{40};
+constexpr int kTrials = 5;
+
+/// Times `bodies` (each one call = kBatchSize lookups) in interleaved
+/// trials: trial t runs every body in turn, each repeated for at least
+/// kTrialTime.  Returns each body's best trial as ns per lookup.
+/// Interleaving makes a noisy stretch of a shared host slow every body
+/// of a comparison alike, and the minimum wall time keeps a fast body's
+/// trial from being a millisecond-long burst.  The minimum over trials
+/// measures the machine, not the neighbours, which keeps the perf-gate
+/// panels stable enough for a 20% regression threshold.
+std::vector<double> best_of_interleaved(
+    std::span<const std::function<void()>> bodies) {
   using clock = std::chrono::steady_clock;
-  body();  // warm-up round
-  double best = std::numeric_limits<double>::infinity();
-  for (int trial = 0; trial < 3; ++trial) {
-    const auto start = clock::now();
-    for (std::size_t round = 0; round < rounds; ++round) {
-      body();
+  for (const auto& body : bodies) {
+    body();  // warm-up call
+  }
+  std::vector<double> best(bodies.size(),
+                           std::numeric_limits<double>::infinity());
+  for (int trial = 0; trial < kTrials; ++trial) {
+    for (std::size_t b = 0; b < bodies.size(); ++b) {
+      std::size_t calls = 0;
+      const auto start = clock::now();
+      clock::duration elapsed{};
+      do {
+        bodies[b]();
+        ++calls;
+        elapsed = clock::now() - start;
+      } while (elapsed < kTrialTime);
+      best[b] = std::min(
+          best[b],
+          static_cast<double>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+                  .count()) /
+              static_cast<double>(calls * kBatchSize));
     }
-    const auto stop = clock::now();
-    best = std::min(
-        best, static_cast<double>(std::chrono::duration_cast<
-                                      std::chrono::nanoseconds>(stop - start)
-                                      .count()) /
-                  static_cast<double>(rounds * kBatchSize));
   }
   return best;
 }
 
-batch_point measure_batch_point(const char* algorithm, std::size_t servers,
-                                std::size_t rounds) {
+batch_point measure_batch_point(const char* algorithm, std::size_t servers) {
   const auto table = batch_bench_table(algorithm, servers);
   const auto requests = batch_bench_requests(kBatchSize);
   std::vector<server_id> answers(requests.size());
 
-  batch_point point{algorithm, servers, 0.0, 0.0};
-  point.scalar_ns_per_lookup = best_of_trials(rounds, [&] {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      answers[i] = table->lookup(requests[i]);
-    }
-    benchmark::DoNotOptimize(answers.data());
-  });
-  point.batch_ns_per_lookup = best_of_trials(rounds, [&] {
-    table->lookup_batch(requests, answers);
-    benchmark::DoNotOptimize(answers.data());
-  });
-  return point;
+  const std::array<std::function<void()>, 2> bodies{
+      [&] {
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+          answers[i] = table->lookup(requests[i]);
+        }
+        benchmark::DoNotOptimize(answers.data());
+      },
+      [&] {
+        table->lookup_batch(requests, answers);
+        benchmark::DoNotOptimize(answers.data());
+      }};
+  const std::vector<double> best = best_of_interleaved(bodies);
+  return batch_point{algorithm, servers, best[0], best[1]};
 }
 
-/// One per-kernel measurement of the batch sweep at one dimension.
+/// One per-kernel measurement of the batch path at one dimension.
 struct kernel_point {
   std::string kernel;
   std::size_t dimension;
@@ -265,26 +283,32 @@ struct kernel_point {
 
 /// Times the hd batch path (capacity-4096 circle, 512 servers) under
 /// every compiled-in kernel the CPU supports, at the paper's d = 10,000
-/// and at d = 4096 (rows of exactly one Harley–Seal block), best of
-/// three trials each.  Restores auto-dispatch afterwards.
-std::vector<kernel_point> measure_kernel_panel(std::size_t servers,
-                                               std::size_t rounds) {
+/// and at d = 4096 (rows of exactly one Harley–Seal block), with the
+/// kernels of one dimension interleaved trial by trial.  Restores
+/// auto-dispatch afterwards.
+std::vector<kernel_point> measure_kernel_panel(std::size_t servers) {
   const auto requests = batch_bench_requests(kBatchSize);
   std::vector<server_id> answers(requests.size());
 
   std::vector<kernel_point> points;
   for (const std::size_t dim : {std::size_t{10'000}, std::size_t{4096}}) {
     const auto table = batch_bench_table("hd", servers, dim);
+    std::vector<std::string_view> kernels;
+    std::vector<std::function<void()>> bodies;
     for (const simd::hamming_kernel* kernel : simd::compiled_kernels()) {
-      if (!kernel->supported() || !simd::set_active_kernel(kernel->name)) {
+      if (!kernel->supported()) {
         continue;
       }
-      const double best_ns = best_of_trials(rounds, [&] {
+      kernels.push_back(kernel->name);
+      bodies.emplace_back([&, name = kernel->name] {
+        simd::set_active_kernel(name);
         table->lookup_batch(requests, answers);
         benchmark::DoNotOptimize(answers.data());
       });
-      points.push_back(
-          kernel_point{std::string(kernel->name), dim, best_ns});
+    }
+    const std::vector<double> best = best_of_interleaved(bodies);
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+      points.push_back(kernel_point{std::string(kernels[k]), dim, best[k]});
     }
   }
   simd::reset_active_kernel();
@@ -293,12 +317,12 @@ std::vector<kernel_point> measure_kernel_panel(std::size_t servers,
 
 int emit_batch_json(const std::string& path) {
   std::vector<batch_point> points;
-  points.push_back(measure_batch_point("hd", 64, 40));
-  points.push_back(measure_batch_point("hd", 512, 10));
-  points.push_back(measure_batch_point("hd-hierarchical", 512, 10));
-  points.push_back(measure_batch_point("consistent", 512, 200));
-  points.push_back(measure_batch_point("rendezvous", 512, 40));
-  const std::vector<kernel_point> panel = measure_kernel_panel(512, 30);
+  points.push_back(measure_batch_point("hd", 64));
+  points.push_back(measure_batch_point("hd", 512));
+  points.push_back(measure_batch_point("hd-hierarchical", 512));
+  points.push_back(measure_batch_point("consistent", 512));
+  points.push_back(measure_batch_point("rendezvous", 512));
+  const std::vector<kernel_point> panel = measure_kernel_panel(512);
 
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {

@@ -5,7 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <numeric>
 
 #include "hdc/similarity.hpp"
 #include "simd/hamming_kernel.hpp"
@@ -189,80 +189,93 @@ hdc::query_result hd_table::decode(const hdc::hypervector& probe,
   return result;
 }
 
-void hd_table::decode_slots(std::span<const std::size_t> slots,
-                            std::span<server_id> winners,
-                            cached_slot* detail) const {
-  // One gather of the stored rows; scanning them in storage order keeps
-  // the win/tie rule identical to the scalar decode().  rows_ shares that
-  // order, so each row's owner is read off its position.
-  struct row_ref {
-    std::uint64_t key;
-    server_id owner;
-    const std::uint64_t* words;
-  };
-  std::vector<row_ref> rows;
-  rows.reserve(memory_.size());
-  memory_.visit([&rows, this](std::uint64_t key, const hdc::hypervector& hv) {
-    rows.push_back(row_ref{key, rows_[rows.size()].owner, hv.words().data()});
-  });
-  const std::size_t words = (config_.dimension + 63) / 64;
-  const std::uint64_t step = encoder_.step_bits();
-  // Degenerate circles (step 0) cannot quantize; raw argmax, as decode().
-  const bool lattice = config_.lattice_decode && step > 0;
+namespace {
 
-  // Probe tile: each row word is loaded once and compared against kTile
-  // probes — the word-parallel sweep an HDC accelerator's adder trees
-  // perform across concurrent queries.  The XOR+popcount-accumulate over
-  // the tile runs through the dispatched SIMD kernel (scalar / AVX2
-  // Harley–Seal / AVX-512 VPOPCNTDQ, see simd/hamming_kernel.hpp); the
-  // win/tie decision below stays in portable code so assignments are
-  // bit-identical across kernels.
+/// One stored row as the batch decoders read it: its key, the member
+/// that owns it, and its words.
+struct row_ref {
+  std::uint64_t key;
+  server_id owner;
+  const std::uint64_t* words;
+};
+
+/// A slot's running winner, tracked as the half-open distance band
+/// [lo, hi) that still *ties* it: a candidate strictly below `lo` beats
+/// the winner, one inside the band ties (smaller key wins), one at or
+/// above `hi` loses.  For lattice decoding the band is the winning
+/// level's quantization cell; for the raw argmax it is the single
+/// distance {d} (both Eq. 2 metrics are strictly decreasing in the
+/// distance, so score order — including exact ties — is distance
+/// order).  This keeps the per-row decision in integer compares; the
+/// division that derives a lattice level runs only when the winner
+/// changes.  Before the first row every distance wins: lo = hi = max.
+struct band_winner {
+  std::uint64_t key = 0;
+  server_id owner = 0;
+  std::uint64_t d = 0;  ///< winning row's exact distance
+  std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t hi = std::numeric_limits<std::uint64_t>::max();
+
+  /// Applies decode()'s rule — lowest lattice level, then the smaller
+  /// row key — to a row at `distance`.  `step` is the lattice step, or
+  /// 0 for the raw argmax.  The rule does not depend on the order rows
+  /// are offered in.
+  void offer(const row_ref& row, std::uint64_t distance, std::uint64_t step) {
+    if (distance >= lo && (distance >= hi || row.key >= key)) {
+      return;  // loses outright, or ties against a smaller key
+    }
+    key = row.key;
+    owner = row.owner;
+    d = distance;
+    if (step > 0) {
+      // level = round-half-up(d / step), in exact integer form —
+      // identical to decode()'s llround for every reachable (distance,
+      // step) pair — and its cell [lo, hi).
+      const std::uint64_t level = (2 * d + step) / (2 * step);
+      lo = level == 0 ? 0 : (step * (2 * level - 1) + 1) / 2;
+      hi = (step * (2 * level + 1) + 1) / 2;
+    } else {
+      lo = d;
+      hi = d + 1;
+    }
+  }
+};
+
+/// The tiled partial-distance sweep of hd_table::decode_slots(), for
+/// circles whose profile is only approximate: every row is scored
+/// against tiles of kMaxTile probes, each row word loaded once per tile
+/// (the word-parallel pass an HDC accelerator's adder trees perform
+/// across concurrent queries), past its `prefix` words only while some
+/// probe of the tile could still take it.  `emit(i, winner)` receives
+/// each slot's winner.
+template <typename Emit>
+void sweep_tiles(std::span<const row_ref> rows,
+                 std::span<const std::size_t> slots,
+                 const circle_encoder& encoder, std::size_t words,
+                 std::size_t prefix, std::uint64_t level_step,
+                 const simd::hamming_kernel& kernel, Emit&& emit) {
   constexpr std::size_t kTile = simd::kMaxTile;
-  const simd::hamming_kernel& kernel = simd::active_kernel();
-  // The winner is tracked as the half-open distance band [lo, hi) that
-  // still *ties* it: a candidate strictly below `lo` beats the winner, a
-  // candidate inside the band ties (smaller key wins), at or above `hi`
-  // it loses.  For lattice decoding the band is the winning level's
-  // quantization cell; for the raw argmax it is the single distance
-  // {best_dist} (both Eq. 2 metrics are strictly decreasing in the
-  // distance, so score order — including exact ties — is distance
-  // order).  This keeps the per-row sweep in integer compares; the
-  // division that derives a lattice level runs only when the winner
-  // changes, O(log) times per sweep in expectation.
-  struct best_state {
-    std::uint64_t key = 0;
-    server_id owner = 0;
-    std::uint64_t d = 0;   ///< winning row's exact distance
-    std::uint64_t lo = 0;  ///< smallest distance that still ties
-    std::uint64_t hi = 0;  ///< smallest distance that loses
-    bool valid = false;
-  };
-  // Partial-distance search (Bei & Gray 1985): the distance over a row's
-  // first `prefix` words is a lower bound on the full one, so a row
-  // whose prefix already reaches every probe's `hi` loses outright and
-  // its remaining words are never scored.
-  const std::size_t prefix = std::min(words, kDecodePrefixWords);
   std::array<const std::uint64_t*, kTile> probes{};
   std::array<const std::uint64_t*, kTile> probe_rest{};
   std::array<std::uint64_t, kTile> dist{};
   std::array<std::uint64_t, kTile> dist_rest{};
-  std::array<best_state, kTile> best{};
+  std::array<band_winner, kTile> best{};
   for (std::size_t base = 0; base < slots.size(); base += kTile) {
     const std::size_t tile = std::min(kTile, slots.size() - base);
     for (std::size_t t = 0; t < kTile; ++t) {
       // Padding the tail tile with its first probe keeps the kernel on
       // its full-tile fast path (fixed trip count, unrolled).
-      probes[t] = encoder_.at(slots[base + (t < tile ? t : 0)]).words().data();
+      probes[t] = encoder.at(slots[base + (t < tile ? t : 0)]).words().data();
       probe_rest[t] = probes[t] + prefix;
     }
-    best.fill(best_state{});
+    best.fill(band_winner{});
     for (const row_ref& row : rows) {
       kernel.tile_distance(row.words, probes.data(), kTile, prefix,
                            dist.data());
       if (prefix < words) {
         bool open = false;
         for (std::size_t t = 0; t < tile; ++t) {
-          open = open || !best[t].valid || dist[t] < best[t].hi;
+          open = open || dist[t] < best[t].hi;
         }
         if (!open) {
           continue;  // the prefix alone already loses for every probe
@@ -274,34 +287,118 @@ void hd_table::decode_slots(std::span<const std::size_t> slots,
         }
       }
       for (std::size_t t = 0; t < tile; ++t) {
-        best_state& b = best[t];
-        const std::uint64_t d = dist[t];
-        if (b.valid && d >= b.lo && (d >= b.hi || row.key >= b.key)) {
-          continue;  // loses outright, or ties against a smaller key
-        }
-        b.key = row.key;
-        b.owner = row.owner;
-        b.d = d;
-        b.valid = true;
-        if (lattice) {
-          // level = round-half-up(d / step), in exact integer form —
-          // identical to decode()'s llround for every reachable
-          // (distance, step) pair — and its cell [lo, hi).
-          const std::uint64_t level = (2 * d + step) / (2 * step);
-          b.lo = level == 0 ? 0 : (step * (2 * level - 1) + 1) / 2;
-          b.hi = (step * (2 * level + 1) + 1) / 2;
-        } else {
-          b.lo = d;
-          b.hi = d + 1;
-        }
+        best[t].offer(row, dist[t], level_step);
       }
     }
     for (std::size_t t = 0; t < tile; ++t) {
-      winners[base + t] = best[t].owner;
-      if (detail != nullptr) {
-        detail[base + t] = cached_slot{best[t].owner, best[t].key, best[t].d};
+      emit(base + t, best[t]);
+    }
+  }
+}
+
+/// The exact circle walk of hd_table::decode_slots(), for fresh_bits
+/// circles.  A row homed at h that sits e bits from C[h] (the faults it
+/// carries) is at least step × circular_distance(h, s) − e bits from
+/// the probe C[s], so a row on ring m may be skipped once
+/// step·m − e >= hi, and the walk may stop once step·m − max e >= hi.
+/// `emit(i, winner)` receives each slot's winner.
+template <typename Emit>
+void walk_circle(std::span<const row_ref> rows,
+                 std::span<const std::size_t> slots,
+                 const circle_encoder& encoder, std::size_t words,
+                 std::uint64_t level_step, const simd::hamming_kernel& kernel,
+                 Emit&& emit) {
+  struct walk_row {
+    row_ref row;
+    std::uint64_t deviation;
+  };
+  // Counting sort of the rows by home slot (bucket h holds
+  // by_home[first[h] .. first[h + 1])), measuring each row's deviation
+  // as it is placed.
+  const std::size_t n = encoder.size();
+  std::vector<std::size_t> home(rows.size());
+  std::vector<std::size_t> first(n + 1, 0);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    home[r] = encoder.slot_of(rows[r].key);
+    ++first[home[r] + 1];
+  }
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<std::size_t> fill(first.begin(), first.end() - 1);
+  std::vector<walk_row> by_home(rows.size());
+  std::uint64_t max_deviation = 0;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const std::uint64_t deviation = kernel.distance(
+        rows[r].words, encoder.at(home[r]).words().data(), words);
+    by_home[fill[home[r]]++] = walk_row{rows[r], deviation};
+    max_deviation = std::max(max_deviation, deviation);
+  }
+
+  const std::uint64_t step = encoder.step_bits();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const std::size_t slot = slots[i];
+    const std::uint64_t* probe = encoder.at(slot).words().data();
+    band_winner best;
+    // Scores the rows homed at `home`, `ring` = step × m bits of circle
+    // away from the probe, whose lower bound ring − deviation is still
+    // below hi (a bound of 0 or less never prunes: hi >= 1).
+    const auto score_home = [&](std::size_t home, std::uint64_t ring) {
+      for (std::size_t j = first[home]; j < first[home + 1]; ++j) {
+        const walk_row& w = by_home[j];
+        if (ring > w.deviation && ring - w.deviation >= best.hi) {
+          continue;
+        }
+        best.offer(w.row, kernel.distance(w.row.words, probe, words),
+                   level_step);
+      }
+    };
+    for (std::size_t m = 0; m <= n / 2; ++m) {
+      const std::uint64_t ring = step * m;
+      if (ring > max_deviation && ring - max_deviation >= best.hi) {
+        break;  // no row on this ring or beyond can win or tie
+      }
+      const std::size_t ahead = slot + m < n ? slot + m : slot + m - n;
+      const std::size_t behind = slot >= m ? slot - m : slot + n - m;
+      score_home(ahead, ring);
+      if (behind != ahead) {
+        score_home(behind, ring);
       }
     }
+    emit(i, best);
+  }
+}
+
+}  // namespace
+
+void hd_table::decode_slots(std::span<const std::size_t> slots,
+                            std::span<server_id> winners,
+                            cached_slot* detail) const {
+  // One gather of the stored rows in storage order; rows_ shares that
+  // order, so each row's owner is read off its position.
+  std::vector<row_ref> rows;
+  rows.reserve(memory_.size());
+  memory_.visit([&rows, this](std::uint64_t key, const hdc::hypervector& hv) {
+    rows.push_back(row_ref{key, rows_[rows.size()].owner, hv.words().data()});
+  });
+  const std::size_t words = (config_.dimension + 63) / 64;
+  const std::uint64_t step = encoder_.step_bits();
+  // Degenerate circles (step 0) cannot quantize; raw argmax, as decode().
+  const std::uint64_t level_step = config_.lattice_decode ? step : 0;
+  // Distances run through the dispatched SIMD kernel (scalar / AVX2
+  // Harley–Seal / AVX-512 VPOPCNTDQ, see simd/hamming_kernel.hpp); the
+  // win/tie decision stays in portable code, so assignments are
+  // bit-identical across kernels.
+  const simd::hamming_kernel& kernel = simd::active_kernel();
+  const auto emit = [&](std::size_t i, const band_winner& best) {
+    winners[i] = best.owner;
+    if (detail != nullptr) {
+      detail[i] = cached_slot{best.owner, best.key, best.d};
+    }
+  };
+  if (config_.policy == hdc::flip_policy::fresh_bits && step > 0) {
+    walk_circle(rows, slots, encoder_, words, level_step, kernel, emit);
+  } else {
+    sweep_tiles(rows, slots, encoder_, words,
+                std::min(words, kDecodePrefixWords), level_step, kernel, emit);
   }
 }
 
@@ -377,39 +474,39 @@ void hd_table::lookup_batch(std::span<const request_id> requests,
   }
 
   // Enc has only n distinct outputs, so the block collapses to at most
-  // min(|block|, n) distinct probes; encoding happens once per slot.
+  // min(|block|, n) distinct probes: sort + unique over its slot ids,
+  // then drop the slots the cache already resolved.  The pending list
+  // stays sorted, so each tile of the independent sweep covers one short
+  // arc whose probes share the same few nearby rows.
   std::vector<std::size_t> slot_of(requests.size());
-  std::unordered_map<std::size_t, server_id> resolved;
-  resolved.reserve(requests.size());
-  std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     slot_of[i] = encoder_.slot_of(requests[i]);
-    const auto [it, fresh] = resolved.try_emplace(slot_of[i], server_id{0});
-    if (!fresh) {
-      continue;
-    }
-    if (config_.slot_cache && cache_[slot_of[i]].has_value()) {
-      it->second = cache_[slot_of[i]]->owner;
-    } else {
-      pending.push_back(slot_of[i]);
-    }
   }
-
-  // Neighbouring circle slots have nearby probes and share their nearest
-  // rows, so sorting gives each tile one short arc: its winners' bands
-  // tighten on the same few rows and the prefix bound drops the rest.
+  std::vector<std::size_t> pending(slot_of);
   std::sort(pending.begin(), pending.end());
+  pending.erase(std::unique(pending.begin(), pending.end()), pending.end());
+  if (config_.slot_cache) {
+    std::erase_if(pending, [this](std::size_t slot) {
+      return cache_[slot].has_value();
+    });
+  }
+  const bool caching = config_.slot_cache && !frozen_;
   std::vector<server_id> winners(pending.size());
-  std::vector<cached_slot> detail(pending.size());
-  decode_slots(pending, winners, detail.data());
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    resolved[pending[i]] = winners[i];
-    if (config_.slot_cache && !frozen_) {
+  std::vector<cached_slot> detail(caching ? pending.size() : 0);
+  decode_slots(pending, winners, caching ? detail.data() : nullptr);
+  if (caching) {
+    for (std::size_t i = 0; i < pending.size(); ++i) {
       cache_[pending[i]] = detail[i];
     }
   }
+  // A decoded slot is found by binary search; any other slot was
+  // resolved by the cache before decoding.
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    out[i] = resolved.at(slot_of[i]);
+    const auto it =
+        std::lower_bound(pending.begin(), pending.end(), slot_of[i]);
+    out[i] = it != pending.end() && *it == slot_of[i]
+                 ? winners[static_cast<std::size_t>(it - pending.begin())]
+                 : cache_[slot_of[i]]->owner;
   }
 }
 

@@ -15,11 +15,13 @@
 ///    cache (every published epoch) each request is one array read and
 ///    the call allocates nothing.  From the first unresolved slot on,
 ///    Enc's n distinct outputs collapse the rest of the block to its
-///    unique circle slots, then the item memory is swept once with each
-///    stored row compared word-wise against a tile of probes (the
-///    software analogue of an accelerator answering several queries per
-///    pass); a row's tail words are skipped once its prefix already
-///    loses.
+///    unique circle slots.  On a fresh_bits circle, whose Hamming
+///    profile is exact, each slot then walks the circle outward from
+///    itself and scores only the rows that circle geometry and each
+///    row's own measured deviation cannot rule out — about two per slot
+///    instead of all k.  Circles built with independent flips sweep the
+///    item memory instead, each row compared word-wise against a tile of
+///    probes, its tail words skipped once its prefix already loses.
 ///  * weighted join — a member of weight w stores round(w) rows
 ///    (replicated circle slots), so it wins a proportional share of the
 ///    request space.  Weight 1 is bit-identical to the unweighted v1
@@ -108,12 +110,11 @@ class hd_table final : public dynamic_table {
   /// unresolved; that part of the call allocates nothing, so a block on
   /// a warm table or a published snapshot costs one array read per
   /// request.  The rest of the block, from the first miss on (the whole
-  /// block when the cache is off), is slot-deduped, its slots sorted,
-  /// and the item memory swept once per probe tile with word-level reuse
-  /// of each stored row (see decode_slots()).  Sorting makes each tile
-  /// one short arc of the circle, so its probes share the same few
-  /// nearby rows and the prefix bound drops the rest early.  Assignments
-  /// are identical to element-wise lookup().
+  /// block when the cache is off), is deduped to its sorted unique slots
+  /// by sort + unique; slots the cache already resolved answer from it,
+  /// the others are decoded together (see decode_slots()), and each
+  /// request finds its slot's answer by binary search.  Assignments are
+  /// identical to element-wise lookup().
   void lookup_batch(std::span<const request_id> requests,
                     std::span<server_id> out) const override;
   using dynamic_table::lookup_batch;
@@ -126,9 +127,10 @@ class hd_table final : public dynamic_table {
   /// lookup() returns.
   std::optional<server_id> cached_owner(request_id request) const;
 
-  /// Words of each row the batch sweep scores before deciding whether
-  /// the rest of the row is needed (the partial-distance prefix of
-  /// decode_slots(); 24 words = 1,536 bits).
+  /// Words of each row the tiled sweep of an independent-flips circle
+  /// scores before deciding whether the rest of the row is needed (the
+  /// partial-distance prefix of decode_slots(); 24 words = 1,536 bits).
+  /// The circle walk of a fresh_bits circle scores whole rows.
   static constexpr std::size_t kDecodePrefixWords = 24;
 
   double weight(server_id server) const override;
@@ -212,23 +214,35 @@ class hd_table final : public dynamic_table {
   hdc::query_result decode(const hdc::hypervector& probe,
                            cached_slot* winner = nullptr) const;
 
-  /// Decodes a block of circle slots to winning *owner* ids, scoring
-  /// each item-memory row against a tile of probes through the
-  /// dispatched SIMD Hamming kernel (simd/hamming_kernel.hpp); the
-  /// win/tie rule runs on integer distance bands, bit-identical across
-  /// kernels and to the scalar decode().  When non-null, `detail[i]`
-  /// receives the winning owner, row key and distance for slots[i].
+  /// Decodes a block of circle slots to winning *owner* ids through the
+  /// dispatched SIMD Hamming kernel (simd/hamming_kernel.hpp).  The
+  /// win/tie rule (lowest lattice level, then the smaller row key) runs
+  /// on integer distance bands and does not depend on the order rows are
+  /// scored in, so answers are bit-identical across kernels and to the
+  /// scalar decode(), under any corruption of the rows.  When non-null,
+  /// `detail[i]` receives the winning owner, row key and distance for
+  /// slots[i].
   ///
-  /// Partial-distance search (Bei & Gray 1985): each row is first
-  /// scored over its kDecodePrefixWords-word prefix, and over the
-  /// remaining words only if some probe of the tile has no winner yet
-  /// or a prefix distance below its winner's losing threshold.  The
-  /// pruning is exact: a Hamming distance is a sum of non-negative
-  /// per-word counts, so the prefix is a lower bound, and the winner
-  /// rule (lowest lattice level, then smaller row key) does not depend
-  /// on the order rows are visited — a row whose prefix already loses
-  /// can neither win nor tie, under any corruption of the rows.  Tiles
-  /// over sorted slots (see lookup_batch()) prune best.
+  /// fresh_bits circles take the exact circle walk.  There
+  /// Hamming(C[i], C[j]) == step × circular_distance(i, j), so a row
+  /// homed at slot h that sits e bits from C[h] is at least
+  /// step × circular_distance(h, s) − e bits from the probe C[s] (the
+  /// triangle inequality; pivot elimination as in Vidal's AESA, with the
+  /// circle as the pivots).  Each call measures every row's e once and
+  /// buckets the rows by home slot.  Each slot then walks rings
+  /// m = 0, 1, … outward, scores a row only while step·m − e is below
+  /// its winner's losing edge, and stops once step·m − max e is not.
+  /// Nothing from that pass outlives the call, so each query sees the
+  /// rows as they are at that moment.
+  ///
+  /// Independent-flips circles, whose profile is only approximate, and
+  /// step-0 circles take the tiled partial-distance sweep (Bei & Gray
+  /// 1985).  Every row is scored against a tile of probes over its
+  /// kDecodePrefixWords-word prefix, and over the remaining words only
+  /// if some probe of the tile could still take it.  A Hamming distance
+  /// is a sum of non-negative per-word counts, so the prefix is a lower
+  /// bound and the pruning is exact.  Tiles over sorted slots (see
+  /// lookup_batch()) prune best.
   void decode_slots(std::span<const std::size_t> slots,
                     std::span<server_id> winners,
                     cached_slot* detail = nullptr) const;

@@ -5,12 +5,17 @@
 /// contract that lets the emulator and experiment drivers feed batches
 /// everywhere without changing any measured result.
 #include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <span>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/circular.hpp"
 #include "core/hd_table.hpp"
 #include "core/hierarchical.hpp"
 #include "exp/factory.hpp"
@@ -345,31 +350,49 @@ TEST(BatchHdTest, TwinRowsTieToTheSmallerServer) {
   }
 }
 
-class BatchHdDimensionTest : public ::testing::TestWithParam<std::size_t> {};
+class BatchHdDimensionTest
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, hdc::flip_policy, std::size_t>> {};
 
-// Around the batch sweep's prefix: shorter than it (prefix-only path),
-// exactly it, one bit past it (a partial boundary word after the
-// prefix), and the paper's d = 10,000.
+// Dimensions around the independent sweep's prefix: shorter than it
+// (prefix-only path), exactly it, one bit past it (a partial boundary
+// word after the prefix), and the paper's d = 10,000.  Each runs under
+// both flip policies (fresh_bits decodes by the circle walk, independent
+// by the tiled sweep), on an even circle and on an odd one (footnote 1's
+// every-other construction; 31 slots fit d = 64's d >= 2n).
 INSTANTIATE_TEST_SUITE_P(
     AroundThePrefix, BatchHdDimensionTest,
-    ::testing::Values(std::size_t{64}, std::size_t{1000},
-                      hd_table::kDecodePrefixWords * 64,
-                      hd_table::kDecodePrefixWords * 64 + 1,
-                      std::size_t{10'000}),
-    [](const auto& info) { return "d" + std::to_string(info.param); });
+    ::testing::Combine(
+        ::testing::Values(std::size_t{64}, std::size_t{1000},
+                          hd_table::kDecodePrefixWords * 64,
+                          hd_table::kDecodePrefixWords * 64 + 1,
+                          std::size_t{10'000}),
+        ::testing::Values(hdc::flip_policy::fresh_bits,
+                          hdc::flip_policy::independent),
+        ::testing::Values(std::size_t{64}, std::size_t{31})),
+    [](const auto& info) {
+      const bool fresh =
+          std::get<1>(info.param) == hdc::flip_policy::fresh_bits;
+      return "d" + std::to_string(std::get<0>(info.param)) +
+             (fresh ? "_fresh_n" : "_independent_n") +
+             std::to_string(std::get<2>(info.param));
+    });
 
 TEST_P(BatchHdDimensionTest, BatchMatchesScalarLookup) {
+  const auto [dimension, policy, capacity] = GetParam();
   for (const bool lattice : {true, false}) {
     hd_table_config config;
-    config.dimension = GetParam();
-    config.capacity = 64;
+    config.dimension = dimension;
+    config.capacity = capacity;
+    config.policy = policy;
     config.lattice_decode = lattice;
     hd_table table(default_hash(), config);
-    for (server_id s = 1; s <= 40; ++s) {
+    // Five eighths of the circle: 40 servers on 64 slots, 19 on 31.
+    for (server_id s = 1; s <= capacity * 5 / 8; ++s) {
       table.join(s * 131);
     }
     const auto requests = request_block(1000, 0xd17e);
-    bit_flip_injector injector(GetParam());
+    bit_flip_injector injector(dimension);
     for (const std::size_t flips : {std::size_t{0}, std::size_t{16}}) {
       scoped_injection injection(injector, table, flips);
       std::vector<server_id> batched(requests.size());
@@ -379,6 +402,166 @@ TEST_P(BatchHdDimensionTest, BatchMatchesScalarLookup) {
             << "lattice " << lattice << " flips " << flips << " request "
             << i;
       }
+    }
+  }
+}
+
+/// One request per circle slot: element s lands on slot s.
+std::vector<request_id> request_per_slot(const hd_table& table) {
+  const circle_encoder& encoder = table.encoder();
+  std::vector<request_id> requests(encoder.size(), 0);
+  std::size_t missing = encoder.size();
+  for (request_id id = 1; missing > 0; ++id) {
+    request_id& slot_request = requests[encoder.slot_of(id)];
+    if (slot_request == 0) {
+      slot_request = id;
+      --missing;
+    }
+  }
+  return requests;
+}
+
+/// Bits where a stored row differs from `target`.
+std::size_t bits_apart(std::span<const std::byte> row,
+                       const hdc::hypervector& target) {
+  const std::span<const std::byte> probe = std::as_bytes(target.words());
+  std::size_t apart = 0;
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    apart += std::popcount(std::to_integer<unsigned>(row[i] ^ probe[i]));
+  }
+  return apart;
+}
+
+/// Moves a stored row toward `target` through the fault surface: flips
+/// the first `count` bits where the two differ, so the row ends up
+/// `count` bits closer to `target` and `count` bits further from its
+/// own circle vector.
+void pull_row_toward(std::span<std::byte> row, const hdc::hypervector& target,
+                     std::size_t count) {
+  const std::span<const std::byte> probe = std::as_bytes(target.words());
+  for (std::size_t i = 0; i < row.size() && count > 0; ++i) {
+    for (unsigned bit = 0; bit < 8 && count > 0; ++bit) {
+      const auto mask = static_cast<std::byte>(1U << bit);
+      if (((row[i] ^ probe[i]) & mask) != std::byte{0}) {
+        row[i] ^= mask;
+        --count;
+      }
+    }
+  }
+  ASSERT_EQ(count, 0U) << "the row is closer to the target than asked";
+}
+
+/// The stored row of member `server` (weight 1: servers() lists the
+/// primary rows in storage order).
+std::span<std::byte> row_of(hd_table& table, server_id server) {
+  const std::vector<server_id> members = table.servers();
+  const auto position = static_cast<std::size_t>(
+      std::find(members.begin(), members.end(), server) - members.begin());
+  return table.fault_regions().at(position).bytes;
+}
+
+void expect_every_slot_conforms(const hd_table& table,
+                                const std::vector<request_id>& requests,
+                                const std::string& when) {
+  std::vector<server_id> batched(requests.size());
+  table.lookup_batch(requests, batched);
+  for (std::size_t slot = 0; slot < requests.size(); ++slot) {
+    EXPECT_EQ(batched[slot], table.lookup(requests[slot]))
+        << when << ", slot " << slot;
+  }
+}
+
+/// A table of 40 servers (ids 131, 262, …) on an even or odd circle.
+hd_table adversarial_table(std::size_t capacity, bool lattice) {
+  hd_table_config config;
+  config.dimension = 2048;
+  config.capacity = capacity;
+  config.lattice_decode = lattice;
+  hd_table table(default_hash(), config);
+  for (server_id s = 1; s <= 40; ++s) {
+    table.join(s * 131);
+  }
+  return table;
+}
+
+TEST(BatchHdTest, RowPulledTowardAFarSlotWinsIt) {
+  // The circle walk may drop a row on ring m only when step × m minus
+  // the row's own deviation e already loses.  Pulled to one bit from the
+  // circle vector n/3 slots from its home, a row wins a slot the walk
+  // reaches only n/3 rings out, with e = step × n/3 − 1: a bound on the
+  // ring alone never scores it there.
+  for (const std::size_t capacity : {std::size_t{64}, std::size_t{63}}) {
+    for (const bool lattice : {true, false}) {
+      const std::string when = "capacity " + std::to_string(capacity) +
+                               " lattice " + std::to_string(lattice);
+      hd_table table = adversarial_table(capacity, lattice);
+      const circle_encoder& encoder = table.encoder();
+      const std::vector<server_id> members = table.servers();
+      std::vector<bool> homed(capacity, false);
+      for (const server_id s : members) {
+        homed[encoder.slot_of(s)] = true;
+      }
+      // With no row homed on the target, every rival is at least one
+      // step away from it, so the pulled row wins it outright.
+      const auto pulled =
+          std::find_if(members.begin(), members.end(), [&](server_id s) {
+            return !homed[(encoder.slot_of(s) + capacity / 3) % capacity];
+          });
+      ASSERT_NE(pulled, members.end()) << when;
+      const std::size_t target =
+          (encoder.slot_of(*pulled) + capacity / 3) % capacity;
+      const std::span<std::byte> row = row_of(table, *pulled);
+      pull_row_toward(row, encoder.at(target),
+                      bits_apart(row, encoder.at(target)) - 1);
+      ASSERT_EQ(bits_apart(row, encoder.at(target)), 1U) << when;
+
+      const auto requests = request_per_slot(table);
+      EXPECT_EQ(table.lookup(requests[target]), *pulled) << when;
+      expect_every_slot_conforms(table, requests, when);
+    }
+  }
+}
+
+TEST(BatchHdTest, RowPulledToTheEdgeOfABandWinsTheTie) {
+  // A row with the smallest key, pulled to hi − 1 bits from a far slot's
+  // circle vector (the last distance that still ties the slot's natural
+  // winner, which sits on it at distance 0), wins that slot on its key.
+  // Its walk bound step × m − e is then exactly hi − 1: a walk that
+  // prunes at hi − 1 instead of hi hands the slot back.
+  for (const std::size_t capacity : {std::size_t{64}, std::size_t{63}}) {
+    for (const bool lattice : {true, false}) {
+      const std::string when = "capacity " + std::to_string(capacity) +
+                               " lattice " + std::to_string(lattice);
+      hd_table table = adversarial_table(capacity, lattice);
+      const circle_encoder& encoder = table.encoder();
+      const auto requests = request_per_slot(table);
+      const std::vector<server_id> members = table.servers();
+      const server_id smallest =
+          *std::min_element(members.begin(), members.end());
+      const std::size_t home = encoder.slot_of(smallest);
+      // The natural winner: the member that wins its own home slot
+      // furthest around the circle from the smallest key's home.
+      server_id winner = 0;
+      std::size_t furthest = 0;
+      for (const server_id s : members) {
+        const std::size_t slot = encoder.slot_of(s);
+        const std::size_t apart = circular_distance(home, slot, capacity);
+        if (apart > furthest && table.lookup(requests[slot]) == s) {
+          winner = s;
+          furthest = apart;
+        }
+      }
+      ASSERT_NE(winner, 0U) << when;
+      const std::size_t slot = encoder.slot_of(winner);
+      // The band of a winner at distance 0: its lattice cell, or {0}.
+      const std::size_t hi = lattice ? (encoder.step_bits() + 1) / 2 : 1;
+      const std::span<std::byte> row = row_of(table, smallest);
+      pull_row_toward(row, encoder.at(slot),
+                      bits_apart(row, encoder.at(slot)) - (hi - 1));
+      ASSERT_EQ(bits_apart(row, encoder.at(slot)), hi - 1) << when;
+
+      EXPECT_EQ(table.lookup(requests[slot]), smallest) << when;
+      expect_every_slot_conforms(table, requests, when);
     }
   }
 }
