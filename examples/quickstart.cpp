@@ -1,6 +1,6 @@
 /// Quickstart: the 60-second tour of the hdhash public API (v2).
 ///
-/// Build a hyperdimensional hash table with the typed builder, add
+/// Build a hyperdimensional hash table by name with make_table, add
 /// weighted servers, route a request batch, watch how little remaps when
 /// the pool changes, and peek at the noise margin that makes the table
 /// robust.
@@ -8,17 +8,18 @@
 #include <vector>
 
 #include "core/hd_table.hpp"
-#include "exp/table_spec.hpp"
-#include "hashing/registry.hpp"
+#include "exp/factory.hpp"
 
 int main() {
   using namespace hdhash;
 
-  // 1. Configure through the builder: 10,000-bit hypervectors on a
-  //    64-node circle.  The circle capacity bounds the pool size (the
-  //    paper requires n > k).
-  const auto table_ptr =
-      table_spec::hd().dimension(10'000).capacity(64).build();
+  // 1. Configure the table: 10,000-bit hypervectors on a 64-node
+  //    circle.  The circle capacity bounds the pool size (the paper
+  //    requires n > k).
+  table_options options;
+  options.hd.dimension = 10'000;
+  options.hd.capacity = 64;
+  const auto table_ptr = make_table("hd", options);
   dynamic_table& table = *table_ptr;
 
   // 2. Add servers.  In production these ids would be hashes of

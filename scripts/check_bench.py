@@ -19,10 +19,6 @@ answer, not noise.
 disruption / load-balance / recovery drift — the matrix is
 deterministic, so drift means the workload or an algorithm changed,
 but robustness characterisation is never a perf gate.
-``BENCH_allocator.json`` files (``bench_alloc``) are report-only too:
-they print the arena-vs-heap panels and the backing mode each run
-landed on (huge/thp/page), which decides whether the numbers are even
-comparable.
 
 Two comparison modes:
 
@@ -241,68 +237,6 @@ def report_scenarios(base: dict, fresh: dict) -> int:
     return 0
 
 
-ALLOCATOR_BENCHMARK = "allocator"
-
-
-def is_allocator(doc: dict) -> bool:
-    return doc.get("benchmark") == ALLOCATOR_BENCHMARK
-
-
-def report_allocator(base: dict, fresh: dict) -> int:
-    """Report-only comparison of two allocator JSONs (exit 0): the
-    arena-vs-heap batch-lookup speedup and the snapshot-churn cycle
-    cost.  Never gated — the numbers hinge on which backing the arenas
-    landed on (huge/thp/page), and a CI runner without a hugepage pool
-    is not comparable to a tuned host.  The recorded ``memory_backing``
-    says which regime each file measured."""
-    print("check_bench: allocator trajectory — report only, never gated "
-          "(TLB behaviour depends on the runner's hugepage config)")
-    base_backing = base.get("memory_backing", "?")
-    fresh_backing = fresh.get("memory_backing", "?")
-    if base_backing != fresh_backing:
-        print(
-            f"  note: memory backing differs (baseline {base_backing}, "
-            f"fresh {fresh_backing}); numbers are not like-for-like"
-        )
-    else:
-        print(f"  backing: {fresh_backing} (both runs)")
-
-    def by_rows(doc: dict, panel: str) -> dict:
-        return {
-            e.get("rows"): e
-            for e in doc.get(panel, [])
-            if isinstance(e, dict)
-        }
-
-    for panel, field, unit in (
-        ("batch_lookup", "batch_ns_per_lookup", "ns/lookup"),
-        ("snapshot_churn", "publish_us", "us/cycle"),
-    ):
-        base_rows = by_rows(base, panel)
-        fresh_rows = by_rows(fresh, panel)
-        for rows in ("heap", "arena"):
-            b = base_rows.get(rows, {}).get(field)
-            f = fresh_rows.get(rows, {}).get(field)
-            if f is None:
-                print(f"  note: fresh run lacks {panel} rows={rows}")
-                continue
-            base_note = f"baseline {b:.1f} -> " if b is not None else ""
-            print(f"  [info] {panel} rows={rows}: {base_note}{f:.1f} {unit}")
-        fresh_arena = fresh_rows.get("arena", {})
-        if panel == "batch_lookup" and "speedup_vs_heap" in fresh_arena:
-            print(
-                f"  [info] {panel}: arena is "
-                f"x{fresh_arena['speedup_vs_heap']:.2f} the heap rate"
-            )
-        if panel == "snapshot_churn" and "recycled" in fresh_arena:
-            print(
-                f"  [info] {panel}: {fresh_arena['recycled']} arena "
-                "free-list hits during the fresh run"
-            )
-    print("check_bench: allocator trajectory accepted (not gated)")
-    return 0
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline", help="committed BENCH_batch_lookup.json")
@@ -323,13 +257,6 @@ def main() -> int:
 
     base = load(args.baseline)
     fresh = load(args.fresh)
-    if is_allocator(base) or is_allocator(fresh):
-        if is_allocator(base) != is_allocator(fresh):
-            sys.exit(
-                "check_bench: cannot compare an allocator JSON against "
-                "a different benchmark's JSON"
-            )
-        return report_allocator(base, fresh)
     if is_scenarios(base) or is_scenarios(fresh):
         if is_scenarios(base) != is_scenarios(fresh):
             sys.exit(

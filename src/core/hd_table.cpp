@@ -21,9 +21,7 @@ constexpr std::uint64_t kReplicaSalt = 0x57A5'11D5'0C1E'F00DULL;
 hd_table::hd_table(const hash64& hash, hd_table_config config)
     : hash_(&hash),
       config_(std::move(config)),
-      arena_(config_.arena_rows
-                 ? (config_.arena ? config_.arena : mem::local_arena())
-                 : nullptr),
+      arena_(mem::local_arena()),
       encoder_(config_.capacity, config_.dimension, hash, config_.seed,
                config_.policy),
       memory_(config_.dimension, config_.metric, arena_),
@@ -563,12 +561,10 @@ table_stats hd_table::stats() const {
       config_.slot_cache
           ? 1.0
           : static_cast<double>(memory_.size()) * static_cast<double>(words);
-  if (arena_ != nullptr) {
-    const mem::arena_stats arena = arena_->stats();
-    s.arena_backing = mem::to_string(arena.backing);
-    s.resident_pages = arena.resident_pages;
-    s.hugepage_bytes = arena.hugepage_bytes;
-  }
+  const mem::arena_stats arena = arena_->stats();
+  s.arena_backing = mem::to_string(arena.backing);
+  s.resident_pages = arena.resident_pages;
+  s.hugepage_bytes = arena.hugepage_bytes;
   return s;
 }
 

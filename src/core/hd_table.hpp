@@ -78,14 +78,6 @@ struct hd_table_config {
   /// equidistant between two servers resolve to the smaller server id,
   /// both with and without faults.  Disable to get the raw Eq. 2 argmax.
   bool lattice_decode = true;
-  /// Hot-state placement (src/mem).  When `arena_rows` is set (the
-  /// default) item-memory rows and the slot cache are carved from
-  /// `arena` — or, when `arena` is null, from the calling thread's
-  /// node-local arena (mem::local_arena(), created under the
-  /// HDHASH_MEM/--mem request).  Clear `arena_rows` for the default-
-  /// heap baseline the allocator benchmark compares against.
-  std::shared_ptr<mem::hugepage_arena> arena;
-  bool arena_rows = true;
 };
 
 /// The HD hashing dynamic hash table.
@@ -255,8 +247,10 @@ class hd_table final : public dynamic_table {
 
   const hash64* hash_;
   hd_table_config config_;
-  // The arena backing rows and the slot cache (nullptr = heap); shared
-  // with clones and snapshots so shared residency has one owner.
+  // The arena backing rows and the slot cache: the constructing
+  // thread's node-local arena (mem::local_arena(), created under the
+  // HDHASH_MEM/--mem request).  Shared with clones and snapshots so
+  // shared residency has one owner.
   std::shared_ptr<mem::hugepage_arena> arena_;
   circle_encoder encoder_;
   hdc::item_memory memory_;

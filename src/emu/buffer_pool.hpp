@@ -15,45 +15,55 @@
 /// — a mesh has M producers pushing into N×M rings but only N per-shard
 /// pools, shared by every producer feeding that shard.
 ///
-/// Since the memory layer landed this is a thin adapter over
-/// mem::slab_cache with per-thread magazines *disabled*: the pool's
-/// whole point is the cross-thread recycle→take round-trip (the worker
-/// recycles, a different thread — the producer — takes), so buffers
-/// must be visible process-wide the moment they are recycled, in LIFO
-/// order (the most recently drained buffer is the one whose pages are
-/// still warm in the consumer's cache hierarchy).  The depot is
-/// mutex-guarded but never on the per-item hot path — one lock per
-/// *batch*, amortized over `batch_capacity` requests.
+/// The pool is one mutex-guarded LIFO stack.  Its whole point is the
+/// cross-thread recycle→take round-trip (the worker recycles, a
+/// different thread — the producer — takes), so a buffer is visible
+/// process-wide the moment it is recycled, and the most recently
+/// drained buffer, whose pages are still warm in the consumer's cache
+/// hierarchy, comes back first.  The lock is never on the per-item hot
+/// path — one lock per *batch*, amortized over `batch_capacity`
+/// requests.
 #pragma once
 
 #include <cstddef>
+#include <mutex>
 #include <utility>
-
-#include "mem/slab_cache.hpp"
+#include <vector>
 
 namespace hdhash {
 
-/// Shared LIFO pool of recycled batch buffers (a magazine-less
-/// mem::slab_cache).
+/// Shared LIFO pool of recycled batch buffers.
 template <typename Batch>
 class buffer_pool {
  public:
   /// Consumer → producer: returns a drained batch's buffers for reuse.
-  void recycle(Batch&& batch) { cache_.recycle(std::move(batch)); }
+  void recycle(Batch&& batch) {
+    const std::lock_guard lock(mutex_);
+    parked_.push_back(std::move(batch));
+  }
 
-  /// Producer: takes a recycled buffer if one is available.
-  bool take(Batch& out) { return cache_.take(out); }
+  /// Producer: takes the most recently recycled buffer into `out`;
+  /// false when the pool is empty (callers then construct fresh).
+  bool take(Batch& out) {
+    const std::lock_guard lock(mutex_);
+    if (parked_.empty()) {
+      return false;
+    }
+    out = std::move(parked_.back());
+    parked_.pop_back();
+    return true;
+  }
 
   /// Buffers currently parked in the pool (approximate while threads
   /// are recycling).
-  std::size_t size() const { return cache_.size(); }
-
-  /// Recycle-traffic counters of the underlying cache.
-  mem::slab_stats stats() const { return cache_.stats(); }
+  std::size_t size() const {
+    const std::lock_guard lock(mutex_);
+    return parked_.size();
+  }
 
  private:
-  // magazine_capacity = 0: pure shared depot — see the file comment.
-  mem::slab_cache<Batch> cache_{mem::slab_options{.magazine_capacity = 0}};
+  mutable std::mutex mutex_;
+  std::vector<Batch> parked_;
 };
 
 }  // namespace hdhash

@@ -7,7 +7,6 @@
 #include "emu/buffer_pool.hpp"
 #include "emu/ingest.hpp"
 #include "hashing/splitmix_hash.hpp"
-#include "mem/hugepage_arena.hpp"
 #include "util/require.hpp"
 
 namespace hdhash {
@@ -320,8 +319,7 @@ sharded_emulator::sharded_emulator(table_factory factory,
                                                  config_.placement);
   auto table = factory(0);
   HDHASH_REQUIRE(table != nullptr, "table factory returned null");
-  publisher_ = std::make_unique<snapshot_publisher>(std::move(table),
-                                                    mem::local_arena());
+  publisher_ = std::make_unique<snapshot_publisher>(std::move(table));
 }
 
 std::size_t sharded_emulator::shard_of(request_id request) const {
@@ -354,8 +352,8 @@ sharded_report sharded_emulator::run(std::span<const event> events) {
   // it) never reaches the shadow's epochs.
   std::unique_ptr<snapshot_publisher> shadow_publisher;
   if (config_.shadow) {
-    shadow_publisher = std::make_unique<snapshot_publisher>(
-        publisher_->table().clone(), mem::local_arena());
+    shadow_publisher =
+        std::make_unique<snapshot_publisher>(publisher_->table().clone());
   }
   if (config_.corrupt) {
     config_.corrupt(publisher_->table(), 0);

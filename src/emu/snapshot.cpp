@@ -16,10 +16,8 @@ std::size_t table_snapshot::marginal_bytes() const {
   return stats.memory_bytes - stats.shared_bytes;
 }
 
-snapshot_publisher::snapshot_publisher(
-    std::unique_ptr<dynamic_table> table,
-    std::shared_ptr<mem::hugepage_arena> arena)
-    : table_(std::move(table)), arena_(std::move(arena)) {
+snapshot_publisher::snapshot_publisher(std::unique_ptr<dynamic_table> table)
+    : table_(std::move(table)), arena_(mem::local_arena()) {
   HDHASH_REQUIRE(table_ != nullptr, "publisher needs a table");
 }
 

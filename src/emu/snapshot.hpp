@@ -83,14 +83,12 @@ class table_snapshot {
 class snapshot_publisher {
  public:
   /// Takes ownership of the mutable table (with its current membership).
-  /// \param arena  arena the published epoch objects (table_snapshot +
-  ///               shared_ptr control block, allocated together) are
-  ///               carved from; epochs drain back to its free lists and
-  ///               the next publication recycles them.  nullptr = heap.
+  /// Published epoch objects (table_snapshot and its shared_ptr control
+  /// block, allocated together) are carved from the constructing
+  /// thread's node-local arena (mem::local_arena()); epochs drain back
+  /// to its free lists and the next publication recycles them.
   /// \pre table != nullptr.
-  explicit snapshot_publisher(
-      std::unique_ptr<dynamic_table> table,
-      std::shared_ptr<mem::hugepage_arena> arena = nullptr);
+  explicit snapshot_publisher(std::unique_ptr<dynamic_table> table);
 
   /// Applies a join to the mutable table and opens a new epoch.
   /// Previously published snapshots are unaffected.

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "hashing/splitmix_hash.hpp"
-#include "mem/hugepage_arena.hpp"
 #include "util/require.hpp"
 
 namespace hdhash {
@@ -33,8 +32,7 @@ stream_router::stream_router(std::unique_ptr<dynamic_table> table,
                  "shard channel depth must be positive");
   HDHASH_REQUIRE(first_worker_ + config_.shards <= pool_.size(),
                  "shard worker range exceeds the pool");
-  publisher_ = std::make_unique<snapshot_publisher>(std::move(table),
-                                                    mem::local_arena());
+  publisher_ = std::make_unique<snapshot_publisher>(std::move(table));
   // One private row per session.
   mesh_ = std::make_unique<ingest_mesh<shard_slice>>(
       config_.sessions, config_.shards, config_.channel_depth);

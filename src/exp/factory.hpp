@@ -1,8 +1,11 @@
 /// \file factory.hpp
 /// \brief Construction of any hdhash algorithm by name, with shared
-/// options — the v1 string entry point, now a thin shim over the typed
-/// table_spec builder (exp/table_spec.hpp), which is the preferred v2
-/// construction API.
+/// options — the one table builder behind benches, examples, drivers
+/// and tests:
+///
+///   table_options options;
+///   options.hd.dimension = 4096;
+///   auto table = make_table("hd", options);
 #pragma once
 
 #include <memory>
@@ -25,12 +28,12 @@ struct table_options {
   hd_table_config hd{};                     ///< HD hashing parameters
 };
 
-/// Creates a table by algorithm name: "modular", "consistent",
-/// "consistent-rank" (rank-resolved ring, see ring_lookup_mode),
-/// "rendezvous", "jump", "maglev" or "hd".  Kept for string-driven
-/// callers (CLIs, sweeps); new code should prefer the table_spec
-/// builder.
-/// \throws precondition_error listing all valid names for unknown ones.
+/// Creates a table by algorithm name, one of all_algorithms().  Each
+/// algorithm reads the shared fields and its own knobs of `options` and
+/// ignores the rest, so one option block can be built generically and
+/// specialized per sweep point.
+/// \throws precondition_error listing all valid names for unknown ones,
+/// and on invalid knob combinations (e.g. a composite maglev table size).
 std::unique_ptr<dynamic_table> make_table(std::string_view algorithm,
                                           const table_options& options = {});
 

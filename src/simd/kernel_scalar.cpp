@@ -3,8 +3,9 @@
 ///
 /// Compiled with the library's baseline flags only (plus -mpopcnt where
 /// available, so std::popcount lowers to the POPCNT instruction instead
-/// of a libgcc call).  Every other kernel must be bit-identical to this
-/// one; the conformance suite enforces it.
+/// of a libgcc call), and with auto-vectorization off, so a
+/// -march=native build keeps it scalar.  Every other kernel must be
+/// bit-identical to this one; the conformance suite enforces it.
 #include <bit>
 #include <cstddef>
 #include <cstdint>

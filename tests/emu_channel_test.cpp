@@ -227,6 +227,15 @@ TEST(BufferPoolTest, RecycledBufferKeepsItsAllocation) {
   EXPECT_EQ(pool.size(), 0u);
 }
 
+TEST(BufferPoolTest, RecycleFromAnotherThreadIsImmediatelyTakeable) {
+  buffer_pool<std::vector<int>> pool;
+  std::thread consumer([&] { pool.recycle(std::vector<int>(8, 3)); });
+  consumer.join();
+  std::vector<int> batch;
+  ASSERT_TRUE(pool.take(batch));
+  EXPECT_EQ(batch.size(), 8u);
+}
+
 TEST(BufferPoolTest, LifoReuseUnderManyThreads) {
   buffer_pool<std::vector<int>> pool;
   constexpr int kThreads = 4;

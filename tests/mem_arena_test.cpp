@@ -3,8 +3,8 @@
 /// hugepage pool needed), loud failure on explicit unavailable
 /// backings, stride/alignment invariants, free-list LIFO reuse,
 /// word_buffer backing rules, item-memory COW un-share placement,
-/// arena-vs-heap hd_table equivalence and the 1–8 shard bit-identity
-/// of the sharded emulator with arenas enabled.
+/// hd_table and epoch-object placement on the node-local arena, and
+/// the 1–8 shard bit-identity of the sharded emulator.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -307,67 +307,31 @@ TEST(ItemMemoryArenaTest, CowUnshareLandsInTheWritersArena) {
   EXPECT_FALSE(memory.at(1) == before);
 }
 
-hd_table_config small_config(bool arena_rows) {
+TEST(HdTableArenaTest, StatsReportTheBackingAndResidency) {
+  const hash64& hash = hash_by_name("xxhash64");
   hd_table_config config;
   config.dimension = 1024;
   config.capacity = 128;
-  config.arena_rows = arena_rows;
-  return config;
-}
-
-TEST(HdTableArenaTest, ArenaAndHeapTablesAnswerIdentically) {
-  const hash64& hash = hash_by_name("xxhash64");
-  hd_table arena_table(hash, small_config(true));
-  hd_table heap_table(hash, small_config(false));
-  for (server_id s = 1; s <= 20; ++s) {
-    arena_table.join(s * 101);
-    heap_table.join(s * 101);
-  }
-  for (request_id r = 0; r < 500; ++r) {
-    ASSERT_EQ(arena_table.lookup(r), heap_table.lookup(r)) << "r=" << r;
-  }
-  const auto arena_answers = arena_table.lookup_batch(
-      std::vector<request_id>{1, 2, 3, 4, 5, 6, 7, 8});
-  const auto heap_answers = heap_table.lookup_batch(
-      std::vector<request_id>{1, 2, 3, 4, 5, 6, 7, 8});
-  EXPECT_EQ(arena_answers, heap_answers);
-}
-
-TEST(HdTableArenaTest, StatsReportTheBackingAndResidency) {
-  const hash64& hash = hash_by_name("xxhash64");
-  hd_table arena_table(hash, small_config(true));
-  hd_table heap_table(hash, small_config(false));
+  hd_table table(hash, config);
   for (server_id s = 1; s <= 8; ++s) {
-    arena_table.join(s);
-    heap_table.join(s);
+    table.join(s);
   }
-  const table_stats with_arena = arena_table.stats();
-  EXPECT_NE(with_arena.arena_backing, "heap");
-  EXPECT_GT(with_arena.resident_pages, 0u);
-  const table_stats heap = heap_table.stats();
-  EXPECT_EQ(heap.arena_backing, "heap");
-  EXPECT_EQ(heap.resident_pages, 0u);
-  EXPECT_EQ(heap.hugepage_bytes, 0u);
-  // The backing changes where rows live, not how many bytes they are.
-  EXPECT_EQ(with_arena.memory_bytes, heap.memory_bytes);
+  const table_stats stats = table.stats();
+  EXPECT_NE(stats.arena_backing, "heap");
+  EXPECT_GT(stats.resident_pages, 0u);
 }
 
 TEST(SnapshotArenaTest, PublisherRecyclesEpochObjectsThroughTheArena) {
-  auto arena = std::make_shared<mem::hugepage_arena>();
-  auto table = make_table("hd", [] {
-    table_options options;
-    options.hd.dimension = 1024;
-    options.hd.capacity = 128;
-    return options;
-  }());
-  snapshot_publisher publisher(std::move(table), arena);
+  // A consistent ring's own snapshots never touch the arena, so every
+  // arena allocation below is an epoch object of the publisher.
+  const auto arena = mem::local_arena();
+  snapshot_publisher publisher(make_table("consistent"));
   publisher.join(1);
   publisher.join(2);
   (void)publisher.current();
-  const std::uint64_t before = arena->stats().allocations;
+  const mem::arena_stats before = arena->stats();
   // Churned epochs drain back to the arena free lists; steady-state
   // publication recycles instead of growing the mapping set.
-  const std::size_t chunks_before = arena->stats().chunk_count;
   for (int i = 0; i < 200; ++i) {
     publisher.join(100 + static_cast<server_id>(i));
     (void)publisher.current();
@@ -375,9 +339,10 @@ TEST(SnapshotArenaTest, PublisherRecyclesEpochObjectsThroughTheArena) {
     (void)publisher.current();
   }
   const mem::arena_stats stats = arena->stats();
-  EXPECT_GT(stats.allocations, before);
-  EXPECT_GT(stats.recycled, 0u) << "epoch objects never recycled";
-  EXPECT_EQ(stats.chunk_count, chunks_before)
+  EXPECT_GT(stats.allocations, before.allocations)
+      << "epoch objects never reached the arena";
+  EXPECT_GT(stats.recycled, before.recycled) << "epoch objects never recycled";
+  EXPECT_EQ(stats.chunk_count, before.chunk_count)
       << "steady-state churn grew the mapping set";
 }
 
@@ -390,25 +355,20 @@ TEST(ShardedArenaTest, MergedHistogramsBitIdenticalAcrossShardCounts) {
   const generator gen(workload);
   const auto events = gen.generate();
 
-  // Reference: a single heap-rows table — so arena placement is also
-  // checked against the non-arena decode, not just against itself.
-  table_options heap_options;
-  heap_options.hd.dimension = 1024;
-  heap_options.hd.capacity = 128;
-  heap_options.hd.arena_rows = false;
-  auto reference_table = make_table("hd", heap_options);
+  // Reference: a single table driven by the plain emulator.
+  table_options options;
+  options.hd.dimension = 1024;
+  options.hd.capacity = 128;
+  auto reference_table = make_table("hd", options);
   emulator reference(*reference_table, 256);
   const run_stats expected = reference.run(events);
 
-  table_options arena_options;
-  arena_options.hd.dimension = 1024;
-  arena_options.hd.capacity = 128;
   for (const std::size_t shards :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     sharded_config config;
     config.shards = shards;
     sharded_emulator emu(
-        [&](std::size_t) { return make_table("hd", arena_options); },
+        [&](std::size_t) { return make_table("hd", options); },
         config);
     const sharded_report report = emu.run(events);
     EXPECT_EQ(report.merged.requests, expected.requests)

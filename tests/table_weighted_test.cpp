@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "exp/factory.hpp"
-#include "exp/table_spec.hpp"
 #include "hashing/splitmix_hash.hpp"
 #include "stats/chi_squared.hpp"
 #include "util/require.hpp"
@@ -297,11 +296,11 @@ TEST(WeightedMembershipTest, HdSkewsProportionally) {
   }
   std::vector<std::uint64_t> aggregated(pool.size(), 0);
   for (std::uint64_t trial = 0; trial < 12; ++trial) {
-    auto table = table_spec::hd()
-                     .dimension(1024)
-                     .capacity(256)
-                     .seed(0x9D0C'AB1E + trial)
-                     .build();
+    table_options options;
+    options.hd.dimension = 1024;
+    options.hd.capacity = 256;
+    options.hd.seed = 0x9D0C'AB1E + trial;
+    auto table = make_table("hd", options);
     for (const weighted_member& m : pool) {
       table->join(m.server, m.weight);
     }
