@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "hdc/similarity.hpp"
 #include "simd/hamming_kernel.hpp"
@@ -40,6 +39,10 @@ hd_table::hd_table(const hd_table& other)
       encoder_(other.encoder_),
       memory_(other.memory_),
       rows_(other.rows_),
+      // A copy builds its own decode index when it first needs one (see
+      // freeze()).  Most never do: every cache-on copy snapshot()
+      // publishes answers from its resolved slot cache.
+      index_stale_(true),
       member_count_(other.member_count_),
       cache_(other.cache_),
       // A copy is independently mutable regardless of the source's
@@ -72,6 +75,7 @@ void hd_table::join(server_id server, double weight) {
     rows_.push_back(row_entry{key, server});
   }
   ++member_count_;
+  index_stale_ = true;
   // Incremental cache maintenance: a new row changes a slot's decision
   // only if it beats the incumbent winner under the decode() rule, so
   // one distance per (new row, cached slot) — O(n) per replica instead
@@ -117,6 +121,7 @@ void hd_table::leave(server_id server) {
   std::erase_if(rows_,
                 [server](const row_entry& row) { return row.owner == server; });
   --member_count_;
+  index_stale_ = true;
   // Removing rows can only change slots the leaver was winning (the
   // minimum over the remaining rows is unchanged elsewhere), so only
   // those entries are re-decoded — lazily, on next touch or warm.
@@ -189,14 +194,6 @@ hdc::query_result hd_table::decode(const hdc::hypervector& probe,
 
 namespace {
 
-/// One stored row as the batch decoders read it: its key, the member
-/// that owns it, and its words.
-struct row_ref {
-  std::uint64_t key;
-  server_id owner;
-  const std::uint64_t* words;
-};
-
 /// A slot's running winner, tracked as the half-open distance band
 /// [lo, hi) that still *ties* it: a candidate strictly below `lo` beats
 /// the winner, one inside the band ties (smaller key wins), one at or
@@ -215,10 +212,11 @@ struct band_winner {
   std::uint64_t hi = std::numeric_limits<std::uint64_t>::max();
 
   /// Applies decode()'s rule — lowest lattice level, then the smaller
-  /// row key — to a row at `distance`.  `step` is the lattice step, or
-  /// 0 for the raw argmax.  The rule does not depend on the order rows
-  /// are offered in.
-  void offer(const row_ref& row, std::uint64_t distance, std::uint64_t step) {
+  /// row key — to a row of the decode index at `distance`.  `step` is
+  /// the lattice step, or 0 for the raw argmax.  The rule does not
+  /// depend on the order rows are offered in.
+  template <typename Row>
+  void offer(const Row& row, std::uint64_t distance, std::uint64_t step) {
     if (distance >= lo && (distance >= hi || row.key >= key)) {
       return;  // loses outright, or ties against a smaller key
     }
@@ -246,9 +244,8 @@ struct band_winner {
 /// across concurrent queries), past its `prefix` words only while some
 /// probe of the tile could still take it.  `emit(i, winner)` receives
 /// each slot's winner.
-template <typename Emit>
-void sweep_tiles(std::span<const row_ref> rows,
-                 std::span<const std::size_t> slots,
+template <typename Rows, typename Emit>
+void sweep_tiles(const Rows& rows, std::span<const std::size_t> slots,
                  const circle_encoder& encoder, std::size_t words,
                  std::size_t prefix, std::uint64_t level_step,
                  const simd::hamming_kernel& kernel, Emit&& emit) {
@@ -267,7 +264,7 @@ void sweep_tiles(std::span<const row_ref> rows,
       probe_rest[t] = probes[t] + prefix;
     }
     best.fill(band_winner{});
-    for (const row_ref& row : rows) {
+    for (const auto& row : rows) {
       kernel.tile_distance(row.words, probes.data(), kTile, prefix,
                            dist.data());
       if (prefix < words) {
@@ -297,68 +294,58 @@ void sweep_tiles(std::span<const row_ref> rows,
 /// The exact circle walk of hd_table::decode_slots(), for fresh_bits
 /// circles.  A row homed at h that sits e bits from C[h] (the faults it
 /// carries) is at least step × circular_distance(h, s) − e bits from
-/// the probe C[s], so a row on ring m may be skipped once
-/// step·m − e >= hi, and the walk may stop once step·m − max e >= hi.
+/// the probe C[s].  `rows` (the decode index) is in home order, so for
+/// each slot the rows not yet visited form one circular run of it: the
+/// next row ahead of the slot opens the run and the next row behind it
+/// closes it.  The walk takes whichever of the two sits fewer slots
+/// away, m, so every row left is at least m slots away.  It skips the
+/// row once step·m − e >= hi and stops once step·m − max e >= hi.
 /// `emit(i, winner)` receives each slot's winner.
-template <typename Emit>
-void walk_circle(std::span<const row_ref> rows,
+template <typename Rows, typename Emit>
+void walk_circle(const Rows& rows, std::uint64_t max_deviation,
                  std::span<const std::size_t> slots,
                  const circle_encoder& encoder, std::size_t words,
                  std::uint64_t level_step, const simd::hamming_kernel& kernel,
                  Emit&& emit) {
-  struct walk_row {
-    row_ref row;
-    std::uint64_t deviation;
-  };
-  // Counting sort of the rows by home slot (bucket h holds
-  // by_home[first[h] .. first[h + 1])), measuring each row's deviation
-  // as it is placed.
   const std::size_t n = encoder.size();
-  std::vector<std::size_t> home(rows.size());
-  std::vector<std::size_t> first(n + 1, 0);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    home[r] = encoder.slot_of(rows[r].key);
-    ++first[home[r] + 1];
-  }
-  std::partial_sum(first.begin(), first.end(), first.begin());
-  std::vector<std::size_t> fill(first.begin(), first.end() - 1);
-  std::vector<walk_row> by_home(rows.size());
-  std::uint64_t max_deviation = 0;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const std::uint64_t deviation = kernel.distance(
-        rows[r].words, encoder.at(home[r]).words().data(), words);
-    by_home[fill[home[r]]++] = walk_row{rows[r], deviation};
-    max_deviation = std::max(max_deviation, deviation);
-  }
-
+  const std::size_t k = rows.size();
   const std::uint64_t step = encoder.step_bits();
+  // First row homed at or after the slot.  Slots arrive sorted, so it
+  // only moves forward; an unsorted list restarts it.
+  std::size_t first = 0;
   for (std::size_t i = 0; i < slots.size(); ++i) {
     const std::size_t slot = slots[i];
+    if (i > 0 && slot < slots[i - 1]) {
+      first = 0;
+    }
+    while (first < k && rows[first].home < slot) {
+      ++first;
+    }
     const std::uint64_t* probe = encoder.at(slot).words().data();
     band_winner best;
-    // Scores the rows homed at `home`, `ring` = step × m bits of circle
-    // away from the probe, whose lower bound ring − deviation is still
-    // below hi (a bound of 0 or less never prunes: hi >= 1).
-    const auto score_home = [&](std::size_t home, std::uint64_t ring) {
-      for (std::size_t j = first[home]; j < first[home + 1]; ++j) {
-        const walk_row& w = by_home[j];
-        if (ring > w.deviation && ring - w.deviation >= best.hi) {
-          continue;
-        }
-        best.offer(w.row, kernel.distance(w.row.words, probe, words),
-                   level_step);
-      }
-    };
-    for (std::size_t m = 0; m <= n / 2; ++m) {
-      const std::uint64_t ring = step * m;
+    std::size_t ahead = first == k ? 0 : first;
+    std::size_t behind = (first == 0 ? k : first) - 1;
+    for (std::size_t left = k; left > 0; --left) {
+      const auto& next = rows[ahead];
+      const auto& prev = rows[behind];
+      const std::size_t forward =
+          next.home >= slot ? next.home - slot : next.home + n - slot;
+      const std::size_t backward =
+          slot >= prev.home ? slot - prev.home : slot + n - prev.home;
+      const bool take_ahead = forward <= backward;
+      const auto& row = take_ahead ? next : prev;
+      const std::uint64_t ring = step * (take_ahead ? forward : backward);
       if (ring > max_deviation && ring - max_deviation >= best.hi) {
-        break;  // no row on this ring or beyond can win or tie
+        break;  // no row left can win or tie
       }
-      const std::size_t ahead = slot + m < n ? slot + m : slot + m - n;
-      const std::size_t behind = slot >= m ? slot - m : slot + n - m;
-      score_home(ahead, ring);
-      if (behind != ahead) {
-        score_home(behind, ring);
+      // A bound of 0 or less never prunes: hi >= 1.
+      if (ring <= row.deviation || ring - row.deviation < best.hi) {
+        best.offer(row, kernel.distance(row.words, probe, words), level_step);
+      }
+      if (take_ahead) {
+        ahead = ahead + 1 == k ? 0 : ahead + 1;
+      } else {
+        behind = behind == 0 ? k - 1 : behind - 1;
       }
     }
     emit(i, best);
@@ -370,13 +357,6 @@ void walk_circle(std::span<const row_ref> rows,
 void hd_table::decode_slots(std::span<const std::size_t> slots,
                             std::span<server_id> winners,
                             cached_slot* detail) const {
-  // One gather of the stored rows in storage order; rows_ shares that
-  // order, so each row's owner is read off its position.
-  std::vector<row_ref> rows;
-  rows.reserve(memory_.size());
-  memory_.visit([&rows, this](std::uint64_t key, const hdc::hypervector& hv) {
-    rows.push_back(row_ref{key, rows_[rows.size()].owner, hv.words().data()});
-  });
   const std::size_t words = (config_.dimension + 63) / 64;
   const std::uint64_t step = encoder_.step_bits();
   // Degenerate circles (step 0) cannot quantize; raw argmax, as decode().
@@ -392,12 +372,64 @@ void hd_table::decode_slots(std::span<const std::size_t> slots,
       detail[i] = cached_slot{best.owner, best.key, best.d};
     }
   };
-  if (config_.policy == hdc::flip_policy::fresh_bits && step > 0) {
-    walk_circle(rows, slots, encoder_, words, level_step, kernel, emit);
+  if (index_stale_) {
+    build_index();
+  }
+  if (walks_circle()) {
+    walk_circle(index_, max_deviation_, slots, encoder_, words, level_step,
+                kernel, emit);
   } else {
-    sweep_tiles(rows, slots, encoder_, words,
+    sweep_tiles(index_, slots, encoder_, words,
                 std::min(words, kDecodePrefixWords), level_step, kernel, emit);
   }
+}
+
+bool hd_table::walks_circle() const noexcept {
+  return config_.policy == hdc::flip_policy::fresh_bits &&
+         encoder_.step_bits() > 0;
+}
+
+void hd_table::build_index() const {
+  HDHASH_ASSERT(!frozen_);
+  // One gather of the stored rows in storage order; rows_ shares that
+  // order, so each row's owner is read off its position.
+  index_.clear();
+  index_.reserve(memory_.size());
+  memory_.visit([this](std::uint64_t key, const hdc::hypervector& hv) {
+    index_.push_back(index_row{key, rows_[index_.size()].owner,
+                               hv.words().data(), encoder_.slot_of(key), 0});
+  });
+  std::sort(index_.begin(), index_.end(),
+            [](const index_row& a, const index_row& b) {
+              return a.home < b.home;
+            });
+  max_deviation_ = 0;
+  if (walks_circle()) {
+    const std::size_t words = (config_.dimension + 63) / 64;
+    const simd::hamming_kernel& kernel = simd::active_kernel();
+    for (index_row& row : index_) {
+      row.deviation = kernel.distance(
+          row.words, encoder_.at(row.home).words().data(), words);
+      max_deviation_ = std::max(max_deviation_, row.deviation);
+    }
+  }
+  index_stale_ = false;
+}
+
+void hd_table::freeze() {
+  // Readers share a frozen copy without synchronization, so they must
+  // never build its index.  A copy whose slot cache resolves every slot
+  // never decodes — each hd-hierarchical group snapshot() publishes —
+  // and skips the build.
+  if (index_stale_ &&
+      (!config_.slot_cache ||
+       std::any_of(cache_.begin(), cache_.end(),
+                   [](const std::optional<cached_slot>& entry) {
+                     return !entry.has_value();
+                   }))) {
+    build_index();
+  }
+  frozen_ = true;
 }
 
 bool hd_table::beats_cached(const cached_slot& incumbent,
@@ -549,7 +581,11 @@ double hd_table::weight(server_id server) const {
 table_stats hd_table::stats() const {
   table_stats s;
   const std::size_t words = (config_.dimension + 63) / 64;
+  // The row list and the decode index are this instance's own, never
+  // shared.
   s.memory_bytes = memory_.size() * words * sizeof(std::uint64_t) +
+                   rows_.size() * sizeof(row_entry) +
+                   index_.size() * sizeof(index_row) +
                    cache_.size() * sizeof(std::optional<cached_slot>);
   // Rows held jointly with clones/snapshots cost this instance nothing
   // beyond bookkeeping; epoch-snapshot marginal residency is
@@ -606,10 +642,12 @@ std::shared_ptr<const dynamic_table> hd_table::snapshot() const {
 
 std::vector<memory_region> hd_table::fault_regions() {
   // Any fault-injection access may corrupt (or restore) the associative
-  // memory, so memoized slot results can no longer be trusted.
+  // memory, so memoized slot results and the decode index can no longer
+  // be trusted.
   if (config_.slot_cache) {
     cache_.assign(config_.capacity, std::nullopt);
   }
+  index_stale_ = true;
   std::vector<memory_region> regions;
   for (std::span<std::uint64_t> row : memory_.storage()) {
     regions.push_back(memory_region{std::as_writable_bytes(row),

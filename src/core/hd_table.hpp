@@ -18,10 +18,15 @@
 ///    unique circle slots.  On a fresh_bits circle, whose Hamming
 ///    profile is exact, each slot then walks the circle outward from
 ///    itself and scores only the rows that circle geometry and each
-///    row's own measured deviation cannot rule out — about two per slot
-///    instead of all k.  Circles built with independent flips sweep the
-///    item memory instead, each row compared word-wise against a tile of
-///    probes, its tail words skipped once its prefix already loses.
+///    row's own deviation from its circle vector cannot rule out —
+///    about two per slot instead of all k.  Circles built with
+///    independent flips sweep the item memory instead, each row
+///    compared word-wise against a tile of probes, its tail words
+///    skipped once its prefix already loses.  Both read a decode index
+///    kept as table state, as LAESA keeps its pivot distances: the rows'
+///    words in home order, each with its deviation from its circle
+///    vector.  A join, a leave or fault_regions() marks it stale, and
+///    the next decode (or freeze()) rebuilds it once.
 ///  * weighted join — a member of weight w stores round(w) rows
 ///    (replicated circle slots), so it wins a proportional share of the
 ///    request space.  Weight 1 is bit-identical to the unweighted v1
@@ -136,23 +141,27 @@ class hd_table final : public dynamic_table {
   /// Epoch snapshot: warms the slot cache (when enabled), then shares a
   /// frozen copy-on-write copy — the circle basis and every item-memory
   /// row are shared with *this, so the snapshot's marginal footprint is
-  /// bookkeeping (the flat row list + slot array), not hypervectors.
-  /// The copy is frozen (see freeze()), making concurrent lookups on it
-  /// race-free.
+  /// bookkeeping (the flat row list + slot array, or the decode index
+  /// when the cache is off), not hypervectors.  The copy is frozen (see
+  /// freeze()), making concurrent lookups on it race-free.
   std::shared_ptr<const dynamic_table> snapshot() const override;
 
   /// Marks this instance immutable-for-memoization: lookups consult the
   /// slot cache but never write it (a miss decodes without caching).
   /// Published snapshots are frozen so that any number of shard workers
   /// can resolve against one instance concurrently with no
-  /// synchronization.  Irreversible for this instance; copies (clones,
-  /// further snapshots) always start unfrozen — the copy constructor
-  /// resets the flag, preserving clone()'s independently-mutable
-  /// contract even for clones taken from a snapshot.
-  void freeze() noexcept { frozen_ = true; }
+  /// synchronization.  A copy that may still decode rebuilds a stale
+  /// decode index first, so its readers never write it; one whose slot
+  /// cache resolves every slot never decodes and skips that.
+  /// Irreversible for this instance; copies (clones, further snapshots)
+  /// always start unfrozen — the copy constructor resets the flag,
+  /// preserving clone()'s independently-mutable contract even for
+  /// clones taken from a snapshot.
+  void freeze();
 
   /// Copy shares the circle basis and item-memory rows copy-on-write;
-  /// the copy is never frozen (see freeze()).
+  /// the copy is never frozen (see freeze()) and builds its own decode
+  /// index.
   hd_table(const hd_table& other);
   hd_table& operator=(const hd_table&) = delete;
 
@@ -160,6 +169,9 @@ class hd_table final : public dynamic_table {
   /// SRAM) rows of the associative memory.  The circle set C is not
   /// exposed: accelerators rematerialize basis hypervectors on the fly
   /// (Schmuck et al.), so C is not resident in error-prone memory.
+  /// Clears the slot cache and marks the decode index stale, so writes
+  /// through the regions must land before the next call on the table
+  /// (see memory_region.hpp).
   std::vector<memory_region> fault_regions() override;
 
   /// Resolves every circle slot into the slot cache so subsequent
@@ -183,6 +195,18 @@ class hd_table final : public dynamic_table {
   struct row_entry {
     std::uint64_t key = 0;
     server_id owner = 0;
+  };
+
+  /// One row of the decode index: a stored row's key, owner and words,
+  /// its home slot_of(key), whose circle vector it was stored as, and
+  /// on a circle the walk takes its deviation Hamming(row, C[home]) —
+  /// the faults it carries.
+  struct index_row {
+    std::uint64_t key = 0;
+    server_id owner = 0;
+    const std::uint64_t* words = nullptr;
+    std::size_t home = 0;
+    std::uint64_t deviation = 0;
   };
 
   /// One memoized slot decision.  Besides the resolved owner, the
@@ -220,12 +244,13 @@ class hd_table final : public dynamic_table {
   /// homed at slot h that sits e bits from C[h] is at least
   /// step × circular_distance(h, s) − e bits from the probe C[s] (the
   /// triangle inequality; pivot elimination as in Vidal's AESA, with the
-  /// circle as the pivots).  Each call measures every row's e once and
-  /// buckets the rows by home slot.  Each slot then walks rings
-  /// m = 0, 1, … outward, scores a row only while step·m − e is below
-  /// its winner's losing edge, and stops once step·m − max e is not.
-  /// Nothing from that pass outlives the call, so each query sees the
-  /// rows as they are at that moment.
+  /// circle as the pivots).  As in LAESA, the pivot distances are index
+  /// state rather than per-query work: the decode index holds each
+  /// row's e in home order, with the largest e (see build_index()).
+  /// Each slot walks that order outward from itself in both directions,
+  /// nearest home first, scores a row only while step·m − e is below
+  /// its winner's losing edge (m: the row's circular distance from the
+  /// slot), and stops once step·m − max e is not.
   ///
   /// Independent-flips circles, whose profile is only approximate, and
   /// step-0 circles take the tiled partial-distance sweep (Bei & Gray
@@ -245,6 +270,16 @@ class hd_table final : public dynamic_table {
   bool beats_cached(const cached_slot& incumbent, std::uint64_t distance,
                     std::uint64_t row_key) const;
 
+  /// True when decode_slots() takes the circle walk: a fresh_bits
+  /// circle with a non-zero step.
+  bool walks_circle() const noexcept;
+
+  /// Rebuilds the decode index from the stored rows — a gather of their
+  /// words, sorted by home, with each row's deviation measured when the
+  /// circle walk reads it — and clears index_stale_.  Never runs on a
+  /// frozen copy (see freeze()).
+  void build_index() const;
+
   const hash64* hash_;
   hd_table_config config_;
   // The arena backing rows and the slot cache: the constructing
@@ -261,6 +296,14 @@ class hd_table final : public dynamic_table {
   // members, so copying a snapshot is one allocation and freeing it one
   // free.
   std::vector<row_entry> rows_;
+  // The decode index (see build_index()) and its largest deviation.
+  // A join, a leave or fault_regions() marks it stale, and a copy
+  // starts stale; the next decode or freeze() rebuilds it, so the
+  // decodes between two mutations share one build.  Mutable because it
+  // is derived from the rows, like the slot cache.
+  mutable std::vector<index_row> index_;
+  mutable std::uint64_t max_deviation_ = 0;
+  mutable bool index_stale_ = false;
   std::size_t member_count_ = 0;
   // Slot-result cache (accelerator model): slot -> winning decision,
   // maintained incrementally across join/leave.  Mutable because it is

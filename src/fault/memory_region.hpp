@@ -32,6 +32,9 @@ class fault_surface {
 
   /// Current live regions.  Views are invalidated by any mutation of the
   /// component (join/leave); callers must re-fetch after mutating.
+  /// Writes through them are valid until the next call on the
+  /// component: a component may re-derive state from its regions at
+  /// that call (hd_table rebuilds its decode index from the rows).
   virtual std::vector<memory_region> fault_regions() = 0;
 
   /// Total fault-surface size in bits (sum over regions).

@@ -7,10 +7,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -472,16 +474,38 @@ void expect_every_slot_conforms(const hd_table& table,
 }
 
 /// A table of 40 servers (ids 131, 262, …) on an even or odd circle.
-hd_table adversarial_table(std::size_t capacity, bool lattice) {
+hd_table adversarial_table(std::size_t capacity, bool lattice,
+                           bool slot_cache = false) {
   hd_table_config config;
   config.dimension = 2048;
   config.capacity = capacity;
   config.lattice_decode = lattice;
+  config.slot_cache = slot_cache;
   hd_table table(default_hash(), config);
   for (server_id s = 1; s <= 40; ++s) {
     table.join(s * 131);
   }
   return table;
+}
+
+/// A member, and the slot n/3 from its home, when no row is homed on
+/// that slot: every rival is then at least one step away from it.
+std::optional<std::pair<server_id, std::size_t>> far_unhomed_target(
+    const hd_table& table) {
+  const circle_encoder& encoder = table.encoder();
+  const std::size_t n = encoder.size();
+  const std::vector<server_id> members = table.servers();
+  std::vector<bool> homed(n, false);
+  for (const server_id s : members) {
+    homed[encoder.slot_of(s)] = true;
+  }
+  for (const server_id s : members) {
+    const std::size_t target = (encoder.slot_of(s) + n / 3) % n;
+    if (!homed[target]) {
+      return std::make_pair(s, target);
+    }
+  }
+  return std::nullopt;
 }
 
 TEST(BatchHdTest, RowPulledTowardAFarSlotWinsIt) {
@@ -496,28 +520,62 @@ TEST(BatchHdTest, RowPulledTowardAFarSlotWinsIt) {
                                " lattice " + std::to_string(lattice);
       hd_table table = adversarial_table(capacity, lattice);
       const circle_encoder& encoder = table.encoder();
-      const std::vector<server_id> members = table.servers();
-      std::vector<bool> homed(capacity, false);
-      for (const server_id s : members) {
-        homed[encoder.slot_of(s)] = true;
-      }
-      // With no row homed on the target, every rival is at least one
-      // step away from it, so the pulled row wins it outright.
-      const auto pulled =
-          std::find_if(members.begin(), members.end(), [&](server_id s) {
-            return !homed[(encoder.slot_of(s) + capacity / 3) % capacity];
-          });
-      ASSERT_NE(pulled, members.end()) << when;
-      const std::size_t target =
-          (encoder.slot_of(*pulled) + capacity / 3) % capacity;
-      const std::span<std::byte> row = row_of(table, *pulled);
+      // With no row homed on the target, the pulled row wins it outright.
+      const auto found = far_unhomed_target(table);
+      ASSERT_TRUE(found.has_value()) << when;
+      const auto [pulled, target] = *found;
+      const std::span<std::byte> row = row_of(table, pulled);
       pull_row_toward(row, encoder.at(target),
                       bits_apart(row, encoder.at(target)) - 1);
       ASSERT_EQ(bits_apart(row, encoder.at(target)), 1U) << when;
 
       const auto requests = request_per_slot(table);
-      EXPECT_EQ(table.lookup(requests[target]), *pulled) << when;
+      EXPECT_EQ(table.lookup(requests[target]), pulled) << when;
       expect_every_slot_conforms(table, requests, when);
+    }
+  }
+}
+
+TEST(BatchHdTest, WalkIndexFollowsRowsWrittenBetweenBatches) {
+  // The walk keeps each row's deviation between calls, so writes through
+  // a fresh fault_regions() must reach it before the next batch: a row
+  // pulled to one bit from a slot n/3 from its home wins that slot only
+  // if the walk knows its new deviation, and loses it again once the
+  // row is restored.  With the cache on, lookup() would repeat what the
+  // batch cached, so every slot is checked against the cold decode
+  // behind lookup_detailed() as well.
+  for (const std::size_t capacity : {std::size_t{64}, std::size_t{63}}) {
+    for (const bool slot_cache : {false, true}) {
+      const std::string when = "capacity " + std::to_string(capacity) +
+                               " slot_cache " + std::to_string(slot_cache);
+      hd_table table = adversarial_table(capacity, true, slot_cache);
+      const circle_encoder& encoder = table.encoder();
+      const auto requests = request_per_slot(table);
+      const auto expect_cold = [&](const std::string& phase) {
+        std::vector<server_id> batched(requests.size());
+        table.lookup_batch(requests, batched);
+        for (std::size_t slot = 0; slot < requests.size(); ++slot) {
+          EXPECT_EQ(batched[slot], table.lookup_detailed(requests[slot]).key)
+              << when << ", " << phase << ", slot " << slot;
+          EXPECT_EQ(batched[slot], table.lookup(requests[slot]))
+              << when << ", " << phase << ", slot " << slot;
+        }
+        return batched;
+      };
+      expect_cold("before the pull");
+
+      const auto found = far_unhomed_target(table);
+      ASSERT_TRUE(found.has_value()) << when;
+      const auto [pulled, target] = *found;
+      const std::span<std::byte> row = row_of(table, pulled);
+      const std::vector<std::byte> original(row.begin(), row.end());
+      pull_row_toward(row, encoder.at(target),
+                      bits_apart(row, encoder.at(target)) - 1);
+      EXPECT_EQ(expect_cold("after the pull")[target], pulled) << when;
+
+      const std::span<std::byte> restored = row_of(table, pulled);
+      std::copy(original.begin(), original.end(), restored.begin());
+      EXPECT_NE(expect_cold("after the restore")[target], pulled) << when;
     }
   }
 }
