@@ -2,7 +2,7 @@
 /// behind the wire protocol, served by the epoll reactor.
 ///
 ///   net_server [--port P] [--io N] [--shards N|auto] [--servers K]
-///              [--pin <none|compact|scatter|smt-aware>]
+///              [--pin <none|compact>]
 ///
 /// Binds 127.0.0.1:7700 by default, pre-joins K servers (ids 1..K) so
 /// ROUTE works immediately, then serves until SIGINT/SIGTERM — at

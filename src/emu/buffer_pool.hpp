@@ -1,19 +1,20 @@
 /// \file buffer_pool.hpp
 /// \brief Standalone batch-buffer recycle pool — the memory round-trip
-/// that pairs with every ingest ring.
+/// that pairs with the shard engine's ingest rings.
 ///
-/// The consumer returns each drained batch's memory with `recycle()`,
-/// and the producer refills recycled buffers (`take()`) instead of
-/// allocating fresh ones.  Because the consumer *allocated and wrote*
-/// those buffers first (the worker pool's first-touch init job), their
-/// pages live on the consumer's own NUMA node — the producer streams
-/// into remote memory once, the worker decodes out of local memory
-/// every batch.
+/// A stream_router decode loop returns each drained batch's memory with
+/// `recycle()`, and the router's sessions — the emulator's producers and
+/// the TCP server's io loops alike — refill recycled buffers (`take()`)
+/// instead of allocating fresh ones.  Because the shard worker
+/// *allocated and wrote* those buffers first (the router's first-touch
+/// generation at start()), their pages live on the worker's own NUMA
+/// node — the producer streams into remote memory once, the worker
+/// decodes out of local memory every batch.
 ///
 /// Kept apart from the ring on purpose: hand-off (emu/spsc_ring.hpp)
 /// and recycling are separate concerns with different threading shapes
-/// — a mesh has M producers pushing into N×M rings but only N per-shard
-/// pools, shared by every producer feeding that shard.
+/// — the router's mesh has M sessions pushing into N×M rings but only N
+/// per-shard pools, shared by every session feeding that shard.
 ///
 /// The pool is one mutex-guarded LIFO stack.  Its whole point is the
 /// cross-thread recycle→take round-trip (the worker recycles, a

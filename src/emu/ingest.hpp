@@ -1,11 +1,11 @@
 /// \file ingest.hpp
-/// \brief The unified ingest API: an M-producer × N-shard mesh of
-/// lock-free SPSC rings, with one producer-side handle
-/// (`ingest_session`) and one consumer-side handle (`shard_consumer`).
+/// \brief The ingest fabric: an M-producer × N-shard mesh of lock-free
+/// SPSC rings, with one producer-side handle (`ingest_session`) and one
+/// consumer-side handle (`shard_consumer`).
 ///
-/// Every batch pipeline in the repo — `sharded_emulator::run()`, the
-/// resident `stream_router`, and `net_server`'s io loops — hands
-/// batches over through this one surface:
+/// The shard engine, `stream_router`, hands every batch over through
+/// it — one row per router session (the sharded emulator's producers,
+/// the TCP server's io loops), one column per shard decode loop:
 ///
 /// ```
 ///   producer 0 ──► session 0 ──► ring(0,0) ring(0,1) … ring(0,N-1)
@@ -27,19 +27,18 @@
 /// Ordering: FIFO per ring — batches from one session reach a shard in
 /// push order.  Batches from *different* sessions are unordered
 /// relative to each other (the consumer scans its column round-robin);
-/// pipelines that need cross-producer ordering sequence it out of band,
-/// the way the sharded emulator's multi-producer runs pre-sequence
-/// membership epochs through the snapshot publisher before the
-/// producers fan out.
+/// producers that need cross-session ordering sequence it out of band,
+/// the way the sharded emulator's multi-producer runs bind every
+/// request to its membership epoch before the producers fan out.
 ///
 /// Shutdown: each session closes its own row when its stream is done
 /// (`session.close()`, exception-safe — a dying producer must still
 /// close, or its consumers spin forever); a consumer's `pop()` returns
 /// false once *every* lane in its column is closed and drained.
-/// `mesh.close()` force-closes everything (stop paths).
+/// `mesh.close()` force-closes everything (the router's stop()).
 ///
 /// Buffer recycling is the separate `buffer_pool` API
-/// (emu/buffer_pool.hpp): pipelines keep one pool per *shard*, shared
+/// (emu/buffer_pool.hpp): the router keeps one pool per *shard*, shared
 /// by every session feeding that shard, so buffers first-touched on a
 /// shard worker's NUMA node keep circulating back to it.
 #pragma once
@@ -115,8 +114,6 @@ template <typename T>
 class ingest_session {
  public:
   ingest_session() = default;
-
-  std::size_t shards() const noexcept { return mesh_->shards(); }
 
   /// Blocking push with backpressure; throws channel_closed if the
   /// lane was closed underneath the producer (stop path).

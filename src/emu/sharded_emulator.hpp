@@ -3,59 +3,34 @@
 /// analogue of the paper's GPU batching (Section 5.1), scaled toward the
 /// ROADMAP's "millions of users" target.
 ///
-/// The generated event stream is partitioned across N shards by
-/// hash(request_id) % N; each shard worker decodes its requests on a
-/// dedicated thread of a pinned runtime::worker_pool (placement policy
-/// per sharded_config::placement — compact by default, so workers sit
-/// on distinct CPUs in NUMA-node order and first-touch their ring
-/// buffers and scratch on their own node), fed through an M-producer ×
-/// N-shard ingest mesh (emu/ingest.hpp) of bounded lock-free SPSC rings
-/// (emu/spsc_ring.hpp).  While a worker decodes batch i, its producers
-/// are already filling batch i+1 — the software analogue of overlapping
-/// GPU transfer with compute (double buffering); with `producers` > 1
-/// the encode/partition side itself fans out across M pinned producer
-/// threads, so ingest scales with cores instead of flat-lining at one
-/// producer's rate.
+/// A finite-stream front end over the shard engine, `stream_router`
+/// (emu/stream_router.hpp), which owns the table and one decode loop per
+/// shard on a pinned worker pool.  run() starts the router, applies each
+/// join/leave through it and routes each request through one router
+/// session (M with `producers` > 1), stops it, and merges the per-shard
+/// statistics its decode loops kept.  While a worker decodes batch i,
+/// the producer already fills batch i+1 (double buffering).
 ///
-/// Membership reaches the workers as epoch snapshots: the producer owns
-/// the single mutable table behind a snapshot_publisher
-/// (emu/snapshot.hpp); join/leave apply once, each membership epoch
-/// publishes one immutable copy-on-write snapshot, and workers resolve
-/// every request against the snapshot of the epoch it arrived under.
-/// Churn is O(1) per event and table memory is ~one table regardless of
-/// shard count.
+/// Shadow oracles (sharded_config::shadow): each request is also
+/// answered by a pristine clone taken before the sharded_config::corrupt
+/// hook ran, and disagreements count as mismatches.  The clone sits
+/// behind a second snapshot_publisher that sees every event in lockstep
+/// with the router, so each segment carries both snapshots of its epoch.
 ///
-/// Shadow oracles (sharded_config::shadow): each request is answered
-/// twice, once by the (possibly fault-injected) table under test and
-/// once by a pristine clone taken before the sharded_config::corrupt
-/// hook ran, and disagreements count as mismatches.  The oracle is a
-/// *second* snapshot_publisher wrapping the clone: the membership
-/// sequencer applies every event to both publishers in lockstep, so
-/// each epoch carries a (corrupted snapshot, pristine shadow snapshot)
-/// pair and workers account mismatches against exactly the epoch a
-/// request arrived under.
-///
-/// Determinism: requests are routed to exactly one shard and observe
-/// exactly the membership state that preceded them in the stream, so
-/// the merged load histogram is bit-identical to a single-shard (or
-/// plain emulator) reference run over the same events — the property
-/// the ctest suite asserts and BENCH_sharded_emulator.json records.
-/// One sequencer applies every join/leave to the publisher in stream
-/// order and binds each request to the epoch it arrived under.  A
-/// single producer sequences and routes in one pass: each request goes
-/// to its shard as soon as its epoch is published, so the shards decode
-/// while membership is still being applied, and each epoch is freed by
-/// the worker that drains its last segment.  Multi-producer runs keep
-/// the guarantee because membership is *sequenced before the fan-out*:
-/// a pre-scan on the calling thread runs the sequencer over the whole
-/// stream and tags each contiguous request run with its epoch snapshot;
-/// the producers then split the request stream by global index range
-/// and each request still resolves against exactly the epoch it arrived
-/// under, in whatever order the mesh delivers it (the load histogram is
-/// order-insensitive).
+/// Determinism: each request is routed to exactly one shard and resolved
+/// against the membership epoch it arrived under, so the merged load
+/// histogram is bit-identical to a plain emulator run over the same
+/// events — the property the ctest suite asserts and
+/// BENCH_sharded_emulator.json records.  A single producer sequences and
+/// routes in one pass on the calling thread: a request goes to its shard
+/// as soon as its epoch is published, and each epoch is freed by the
+/// worker that drains its last segment.  With M producers, membership is
+/// *sequenced before the fan-out*: a pre-scan on the calling thread
+/// applies every event and tags each contiguous request run with its
+/// epoch; the producers then split the requests by index range, and the
+/// load histogram is order-insensitive.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -63,7 +38,7 @@
 
 #include "emu/emulator.hpp"
 #include "emu/event.hpp"
-#include "emu/snapshot.hpp"
+#include "emu/stream_router.hpp"
 #include "runtime/worker_pool.hpp"
 #include "table/dynamic_table.hpp"
 
@@ -88,10 +63,6 @@ struct sharded_config {
   /// (producer, shard) pair before push blocks (backpressure).  2 is
   /// the classic double buffer (rings round up to a power of two).
   std::size_t channel_depth = 2;
-  /// Measure per-sub-batch request time on each worker's own CPU clock
-  /// (timing_mode::thread_cpu), so the per-shard service rate is not
-  /// polluted by preemption when shards outnumber cores.
-  bool timing = true;
   /// Answer every request against a pristine shadow oracle as well and
   /// count disagreements (run_stats::mismatches).  The oracle is one
   /// epoch-published clone of the producer table shared by all shards.
@@ -111,8 +82,6 @@ struct sharded_config {
   /// unavailable or refused.  Placement never changes assignments:
   /// the merged histogram is bit-identical under every policy.
   runtime::placement_policy placement = runtime::default_placement_policy();
-  /// Salt of the request partition hash.
-  std::uint64_t partition_seed = 0x5A4D'ED01;
 };
 
 /// Result of one sharded run.
@@ -121,8 +90,8 @@ struct sharded_report {
   /// membership event once, so the merged report is comparable
   /// field-for-field with a single-table run.
   run_stats merged;
-  /// Raw per-shard statistics.  joins/leaves are zero: membership is
-  /// applied once, by the producer.
+  /// Raw per-shard statistics (stream_router::shard_stats()).
+  /// joins/leaves are zero: membership is applied once, by the producer.
   std::vector<run_stats> per_shard;
   /// End-to-end pipeline wall time (produce + decode, overlapped).
   double wall_seconds = 0.0;
@@ -172,11 +141,10 @@ class sharded_emulator {
   sharded_report run(std::span<const event> events);
 
   /// Shard a request id is routed to.
-  std::size_t shard_of(request_id request) const;
+  std::size_t shard_of(request_id request) const {
+    return router_->shard_of(request);
+  }
 
-  const sharded_config& config() const noexcept { return config_; }
-  std::size_t shards() const noexcept { return config_.shards; }
-  std::size_t producers() const noexcept { return config_.producers; }
   /// The producer's single mutable table: the same object for every
   /// shard index.  Valid for the emulator's lifetime.
   /// \pre shard < shards().
@@ -191,8 +159,8 @@ class sharded_emulator {
 
  private:
   sharded_config config_;
-  std::unique_ptr<snapshot_publisher> publisher_;
-  std::unique_ptr<runtime::worker_pool> pool_;  // one worker/shard
+  std::unique_ptr<runtime::worker_pool> pool_;
+  std::unique_ptr<stream_router> router_;  // decodes on pool_'s [0, shards)
 };
 
 }  // namespace hdhash

@@ -1,55 +1,62 @@
 /// \file stream_router.hpp
-/// \brief Streaming shard router: the sharded emulator's epoch-published
-/// snapshot pipeline, re-cut as a long-running service.
+/// \brief The shard engine under both front ends — the sharded
+/// emulator and the TCP server: one resident epoch-snapshot pipeline.
 ///
-/// `sharded_emulator::run()` consumes one finite event stream and
-/// returns.  A socket front-end needs the same machinery — partition
-/// requests by hash(id) % shards, hand per-shard batches through
-/// bounded channels to pinned decode workers, resolve each batch
-/// against the epoch snapshot it arrived under — but as a *resident*
-/// engine: start once, accept route batches from a fixed set of io
-/// threads (one session each), deliver each batch's answers through a
-/// completion callback, and stop by draining.  This class is that engine; `net::net_server`
-/// is its first client.
+/// The router owns the single mutable table behind a snapshot_publisher
+/// and runs one decode loop per shard on a pinned runtime::worker_pool.
+/// Producers reach it through *sessions*: session i owns row i of a
+/// sessions × shards `ingest_mesh` of bounded lock-free SPSC rings
+/// (emu/ingest.hpp), so no lock sits on the hot path.  Requests are
+/// partitioned by shard_of(), hash(id) % shards.
 ///
-/// Ingest runs on the shared mesh API (emu/ingest.hpp): the router
-/// owns a sessions × shards `ingest_mesh` of bounded lock-free SPSC
-/// rings.  Each *session* (`open_session(i)`, one per io thread) owns a
-/// private mesh row, so an io loop pushes its slices into
-/// single-producer rings with no lock anywhere on the hot path.  Every
-/// batch enters through a session; there is no shared submit path.
+/// What a shard decodes is an `epoch_batch`: requests split into
+/// segments at the membership epochs they arrived under, each answered
+/// by `lookup_batch` on exactly that epoch's snapshot.  Batches recycle
+/// through one buffer_pool per shard, first-touched by the shard's
+/// worker at start() (allocated and written first, so the pages sit on
+/// its own NUMA node).  A session keeps one open batch per shard:
+/// `sharded_emulator::run()` routes each request into it
+/// (open_segment(), flush()), and `net::net_server`'s io loops submit()
+/// `route_batch` tickets, split into one segment per covered shard; the
+/// worker that decodes a ticket segment writes its answers back and
+/// completes the ticket.  Each decode loop keeps its shard's run_stats
+/// (shard_stats()).
 ///
 /// Concurrency contract:
-///  * join()/leave() are thread-safe; a session's submit() is bound to
-///    one thread at a time (it is that row's SPSC producer).
-///  * Batches submitted through one session complete their shard-local
-///    slices in submission order (rings are FIFO per lane), so
-///    per-connection reply ordering reduces to a FIFO of tickets on the
-///    submitter.  Ordering across different sessions is not defined.
+///  * join()/leave()/current() are thread-safe (one producer mutex); a
+///    session is bound to one thread at a time (it is its row's SPSC
+///    producer).
+///  * Batches pushed through one session reach each shard in push
+///    order (rings are FIFO per lane), so per-connection reply
+///    ordering reduces to a FIFO of tickets on the submitter.  Ordering
+///    across different sessions is not defined.
 ///  * `on_complete` runs on whichever shard worker finishes the
-///    batch's last slice — it must be cheap and non-blocking (post a
+///    ticket's last segment — it must be cheap and non-blocking (post a
 ///    wakeup, never write sockets or take long-held locks).
-///  * After stop(), a session's submit() fails loudly
+///  * After stop(), pushing through a session fails loudly
 ///    (hdhash::channel_closed or precondition_error) — quiesce
-///    submitters first, the way net_server joins its io loops before
+///    producers first, the way net_server joins its io loops before
 ///    stopping the router.
 ///
-/// Determinism: a batch's requests all resolve against the snapshot of
-/// the membership epoch current at submit time, and every membership
-/// event is applied before any later-submitted batch acquires its
-/// snapshot.  A single submitter that flushes its open batch before
-/// each join/leave therefore reproduces exactly the plain emulator's
-/// "every request sees the table state it arrived under" semantics —
-/// the bit-identity the net e2e test asserts over a real socket.
+/// Determinism: a segment resolves against the snapshot it was stamped
+/// with, and every membership event is applied before any later
+/// current() call.  A single producer that stamps each request with the
+/// epoch current at its arrival — over a socket, one that flushes its
+/// open ticket before each join/leave — reproduces exactly the plain
+/// emulator's "every request sees the table state it arrived under"
+/// semantics, the bit-identity the emulator and net tests assert.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "emu/buffer_pool.hpp"
+#include "emu/emulator.hpp"
 #include "emu/ingest.hpp"
 #include "emu/snapshot.hpp"
 #include "runtime/worker_pool.hpp"
@@ -64,97 +71,169 @@ class stream_router {
     /// [first_worker, first_worker + shards) are occupied for the
     /// router's whole start()..stop() span.
     std::size_t shards = 1;
-    /// Producer sessions (>= 1): submitters (io threads) that each own
-    /// a private single-producer mesh row via open_session().
+    /// Producer sessions (>= 1): producers (the emulator's producers,
+    /// the server's io threads) that each own a private single-producer
+    /// mesh row via open_session().
     std::size_t sessions = 1;
     /// Bounded per-lane ring depth: how many batches may queue on one
-    /// (session, shard) lane before submit() blocks (backpressure to
-    /// the io layer).
+    /// (session, shard) lane before a push blocks (backpressure).
     std::size_t channel_depth = 4;
-    /// Salt of the request partition hash (the sharded emulator's
-    /// default, so both pipelines split streams identically).
-    std::uint64_t partition_seed = 0x5A4D'ED01;
   };
 
   /// One submitted routing ticket: `requests` in arrival order,
   /// `answers[i]` the server for `requests[i]` once `done` turns true.
-  /// The router holds the shared_ptr until the last shard slice
+  /// The router holds the shared_ptr until the last shard segment
   /// completes, so a ticket outlives any connection that dies mid-batch.
   struct route_batch {
     std::vector<request_id> requests;
     std::vector<server_id> answers;
     /// Invoked exactly once, by the shard worker that completes the
-    /// last slice, after `done` is set.  Cleared afterwards (any
+    /// last segment, after `done` is set.  Cleared afterwards (any
     /// captured owner references are released then).
     std::function<void()> on_complete;
-    /// All slices decoded; answers[] fully written (release/acquire
+    /// All segments decoded; answers[] fully written (release/acquire
     /// paired with the completing worker's store).
     std::atomic<bool> done{false};
-    /// A shard slice faulted (empty-pool lookup, table precondition):
+    /// A segment faulted (empty-pool lookup, table precondition):
     /// answers are not trustworthy; the submitter should report an
     /// error instead of routing replies.
     std::atomic<bool> failed{false};
 
    private:
     friend class stream_router;
-    std::atomic<std::size_t> pending_slices{0};
+    std::atomic<std::size_t> pending_segments{0};
   };
 
-  /// A producer-side handle over one private mesh row.  Obtained from
-  /// open_session(); cheap to copy, but only one thread may drive a
-  /// given session at a time (it is the row's SPSC producer).  The
-  /// router must outlive every session.
+  /// One epoch's run of a shard batch: requests that arrived under
+  /// `snap` and must be resolved against exactly that table state.
+  struct epoch_segment {
+    std::shared_ptr<const table_snapshot> snap;
+    /// The same epoch of a pristine shadow oracle, or null.  Each
+    /// answer is checked against it and disagreements count as
+    /// mismatches.
+    std::shared_ptr<const table_snapshot> shadow_snap;
+    /// The ticket these requests came from, or null.  A ticket segment
+    /// writes answer i to `ticket->answers[positions[i]]`.
+    std::shared_ptr<route_batch> ticket;
+    std::vector<request_id> requests;
+    std::vector<std::uint32_t> positions;
+  };
+
+  /// A shard batch, segmented at the membership epochs its requests
+  /// arrived under: without churn a single segment, one undivided
+  /// slot-dedup window.  Segments are reused in place across recycles
+  /// (only segments[0..used) are live): reset() drops the references
+  /// but keeps every vector's capacity, so a recycled batch refills
+  /// without reallocating — and without losing the first-touch
+  /// placement of its pages.
+  struct epoch_batch {
+    std::vector<epoch_segment> segments;
+    std::size_t used = 0;
+
+    epoch_segment& append() {
+      if (used == segments.size()) {
+        segments.emplace_back();
+      }
+      return segments[used++];
+    }
+    bool empty() const { return used == 0; }
+
+    /// Releases the epoch and ticket references (so retired epochs free
+    /// promptly) and clears requests and positions, keeping capacity.
+    void reset() {
+      for (std::size_t i = 0; i < used; ++i) {
+        epoch_segment& segment = segments[i];
+        segment.snap.reset();
+        segment.shadow_snap.reset();
+        segment.ticket.reset();
+        segment.requests.clear();
+        segment.positions.clear();
+      }
+      used = 0;
+    }
+  };
+
+  /// A producer-side handle over one private mesh row and its open
+  /// batch per shard.  Obtained from open_session(); only one thread
+  /// may drive a given session at a time (it is the row's SPSC
+  /// producer).  The router must outlive every session.
   class session {
    public:
     session() = default;
 
-    /// Partitions the ticket's requests by shard, stamps the current
-    /// epoch snapshot, and pushes one slice per covered shard into this
-    /// session's own lock-free lanes (blocking when a lane is full —
-    /// backpressure).  Empty tickets complete inline on the calling
-    /// thread.  \pre the router is started and not stopped;
-    /// batch != nullptr.
-    void submit(std::shared_ptr<route_batch> batch) {
-      router_->submit_to_row(row_, std::move(batch));
+    /// Partitions the ticket's requests by shard — one segment per
+    /// covered shard, stamped with the current epoch snapshot — and
+    /// flushes them into this session's lanes.  Empty tickets complete
+    /// inline on the calling thread.  \pre the router is started and
+    /// not stopped; batch != nullptr.
+    void submit(std::shared_ptr<route_batch> batch);
+
+    /// The segment of `shard`'s open batch that takes the next request
+    /// of epoch `snap`: the last one when it has that epoch, else a new
+    /// one stamped (`snap`, `shadow_snap`).  A new open batch is a
+    /// recycled one, first-touched by the shard's worker, when one is
+    /// back.
+    epoch_segment& open_segment(
+        std::size_t shard, const std::shared_ptr<const table_snapshot>& snap,
+        const std::shared_ptr<const table_snapshot>& shadow_snap = nullptr) {
+      epoch_batch& batch = open_[shard];
+      if (batch.empty()) {
+        router_->shard_states_[shard].pool.take(batch);
+      } else if (batch.segments[batch.used - 1].snap == snap) {
+        return batch.segments[batch.used - 1];
+      }
+      epoch_segment& segment = batch.append();
+      segment.snap = snap;
+      segment.shadow_snap = shadow_snap;
+      return segment;
     }
+
+    /// Hands `shard`'s open batch, if any, to its decode loop; blocks
+    /// while the lane is full (backpressure) and throws channel_closed
+    /// once the router stopped.
+    void flush(std::size_t shard);
+
+    /// Ends this session's stream: closes its row, so the decode loops
+    /// can drain and exit before stop() (producers that run on other
+    /// threads than stop()'s caller).
+    void close() { router_->mesh_->session(row_).close(); }
 
    private:
     friend class stream_router;
     session(stream_router* router, std::size_t row)
-        : router_(router), row_(row) {}
+        : router_(router), row_(row), open_(router->shards()) {}
 
     stream_router* router_ = nullptr;
     std::size_t row_ = 0;
+    std::vector<epoch_batch> open_;
   };
 
   /// Takes ownership of the (single, producer-owned) table and runs
   /// decode loops on `pool` workers [first_worker, first_worker +
-  /// config.shards).  start() must be called before the first submit().
+  /// config.shards).  start() must be called before the first push.
   /// \pre table != nullptr; config.shards >= 1; config.sessions >= 1;
   /// the worker range is within the pool.
   stream_router(std::unique_ptr<dynamic_table> table,
                 runtime::worker_pool& pool, std::size_t first_worker,
                 config cfg);
-  /// Same, with a default-constructed config (gcc rejects `= {}` as a
-  /// default argument while the nested aggregate is incomplete).
-  stream_router(std::unique_ptr<dynamic_table> table,
-                runtime::worker_pool& pool, std::size_t first_worker)
-      : stream_router(std::move(table), pool, first_worker, config{}) {}
 
-  /// Stops (drains) if still running.
+  /// Stops (drains) if still running; a fault stop() would rethrow is
+  /// dropped.
   ~stream_router();
 
   stream_router(const stream_router&) = delete;
   stream_router& operator=(const stream_router&) = delete;
 
-  /// Launches one decode loop per shard on the configured pool workers.
-  /// Idempotent once running.
+  /// First-touches each shard's recycled batches on its own worker,
+  /// then launches one decode loop per shard.  Idempotent once
+  /// running.
   void start();
 
   /// Closes every mesh lane and waits until all decode loops have
-  /// drained and exited — every batch submitted before stop() completes
-  /// (its on_complete fires) before stop() returns.  After stop(),
-  /// submit() fails loudly.  Idempotent.
+  /// drained and exited — every batch pushed before stop() is decoded
+  /// (and every ticket's on_complete has run) before stop() returns.
+  /// Rethrows the first pool-job exception, then the first fault of a
+  /// ticket-less segment.  Idempotent.
   void stop();
 
   /// Applies a join to the producer table and opens a new membership
@@ -164,6 +243,10 @@ class stream_router {
 
   /// Applies a leave (thread-safe; unknown ids throw, table unchanged).
   void leave(server_id server);
+
+  /// Snapshot of the current epoch, published on first use
+  /// (thread-safe).
+  std::shared_ptr<const table_snapshot> current();
 
   /// Hands out the private producer row `index`.  Valid for the
   /// router's lifetime; one driving thread at a time per session.
@@ -183,11 +266,11 @@ class stream_router {
   std::uint64_t epoch() const noexcept {
     return epoch_count_.load(std::memory_order_relaxed);
   }
-  /// Requests accepted by the sessions so far.
+  /// Requests in the tickets submitted so far.
   std::uint64_t requests_routed() const noexcept {
     return requests_routed_.load(std::memory_order_relaxed);
   }
-  /// Batches accepted by the sessions so far.
+  /// Tickets submitted so far.
   std::uint64_t batches_routed() const noexcept {
     return batches_routed_.load(std::memory_order_relaxed);
   }
@@ -196,22 +279,38 @@ class stream_router {
   /// Resident table bytes (producer table + live snapshot bookkeeping).
   std::size_t table_memory_bytes() const;
 
- private:
-  struct shard_slice;
-  struct shard_scratch;
+  /// The producer-owned mutable table, for set-up (fault injection,
+  /// shadow clones) and end-of-run inspection.  Not synchronized:
+  /// use it only while no join() or leave() runs.
+  dynamic_table& table() noexcept { return publisher_->table(); }
 
-  void submit_to_row(std::size_t row, std::shared_ptr<route_batch> batch);
+  /// What shard `shard`'s decode loop answered: requests, lookup_batch
+  /// calls, per-server load, shadow mismatches and, for ticket-less
+  /// segments, lookup time on the worker's thread-CPU clock.  Read it
+  /// after stop().  \pre shard < shards().
+  const run_stats& shard_stats(std::size_t shard) const;
+
+ private:
+  /// State one decode loop owns.  Cache-line aligned so two workers'
+  /// counters never share a line.
+  struct alignas(64) shard_state {
+    buffer_pool<epoch_batch> pool;
+    run_stats stats;
+    std::exception_ptr error;  ///< first fault of a ticket-less segment
+  };
+
+  void decode_loop(std::size_t shard);
 
   config config_;
   runtime::worker_pool& pool_;
   std::size_t first_worker_;
   std::unique_ptr<snapshot_publisher> publisher_;
-  std::unique_ptr<ingest_mesh<shard_slice>> mesh_;
-  std::vector<std::unique_ptr<shard_scratch>> scratch_;
+  std::unique_ptr<ingest_mesh<epoch_batch>> mesh_;
+  std::vector<shard_state> shard_states_;
 
   // Producer mutex: guards the publisher (join/leave/current) so a
   // snapshot is always consistent with the membership order observed
-  // by submitters.
+  // by producers.
   mutable std::mutex producer_mutex_;
   std::atomic<std::size_t> members_{0};
   std::atomic<std::uint64_t> epoch_count_{0};

@@ -73,8 +73,7 @@ emulator_options parse_emulator_options(int argc, char** argv) {
       if (const auto policy = runtime::parse_placement_policy(value)) {
         opts.placement = *policy;
       } else {
-        opts.errors.push_back(
-            "--pin needs one of none|compact|scatter|smt-aware");
+        opts.errors.push_back("--pin needs one of none|compact");
       }
     } else if (const char* value = flag_value(argc, argv, &i, "--mem")) {
       opts.mem_set = true;

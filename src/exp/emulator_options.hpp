@@ -44,7 +44,7 @@ struct emulator_options {
   bool producers_auto = false;
   std::size_t producers = 1;
 
-  /// --pin none|compact|scatter|smt-aware; default per HDHASH_PIN.
+  /// --pin none|compact; default per HDHASH_PIN.
   bool placement_set = false;
   runtime::placement_policy placement = runtime::default_placement_policy();
 

@@ -1,7 +1,7 @@
 /// \file server.hpp
 /// \brief The TCP front-end: an epoll reactor over per-connection
 /// protocol state machines, feeding parsed ROUTE batches into the
-/// streaming shard router.
+/// shard engine, stream_router.
 ///
 /// Thread model — one pinned `runtime::worker_pool` carries the whole
 /// server, io cores reserved apart from shard cores:
@@ -24,7 +24,7 @@
 /// membership command — so requests observe exactly the membership
 /// order of their connection's stream).  Replies are queued per
 /// connection in arrival order: a pending ticket blocks the replies
-/// behind it until its shard slices complete, which is what makes
+/// behind it until its shard segments complete, which is what makes
 /// pipelined streams come back in request order.
 ///
 /// Graceful shutdown (`stop()`): the listener closes, every io loop

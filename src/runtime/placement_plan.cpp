@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <tuple>
 
 #include "util/require.hpp"
@@ -15,10 +14,6 @@ std::string_view to_string(placement_policy policy) noexcept {
       return "none";
     case placement_policy::compact:
       return "compact";
-    case placement_policy::scatter:
-      return "scatter";
-    case placement_policy::smt_aware:
-      return "smt-aware";
   }
   return "none";
 }
@@ -30,12 +25,6 @@ std::optional<placement_policy> parse_placement_policy(std::string_view name) {
   if (name == "compact") {
     return placement_policy::compact;
   }
-  if (name == "scatter") {
-    return placement_policy::scatter;
-  }
-  if (name == "smt-aware" || name == "smt_aware") {
-    return placement_policy::smt_aware;
-  }
   return std::nullopt;
 }
 
@@ -46,72 +35,28 @@ placement_policy default_placement_policy() {
   }
   const auto policy = parse_placement_policy(env);
   HDHASH_REQUIRE(policy.has_value(),
-                 "HDHASH_PIN must be one of none|compact|scatter|smt-aware");
+                 "HDHASH_PIN must be one of none|compact");
   return *policy;
 }
 
 namespace {
 
-/// Allowed CPUs in the visit order of one policy.  Each comparison key
-/// leads with the dimension the policy spreads over least eagerly:
-/// compact keeps SMT siblings adjacent inside one node; smt-aware puts
-/// every core's thread 0 before any thread 1; scatter interleaves
-/// nodes round-robin on top of the smt-aware order.
-std::vector<const logical_cpu*> policy_order(const cpu_topology& topology,
-                                             placement_policy policy) {
+/// Allowed CPUs in compact order: by node, then package and core, SMT
+/// siblings adjacent.
+std::vector<const logical_cpu*> compact_order(const cpu_topology& topology) {
   std::vector<const logical_cpu*> cpus;
   for (const logical_cpu& cpu : topology.cpus()) {
     if (cpu.allowed) {
       cpus.push_back(&cpu);
     }
   }
-  const auto compact_key = [](const logical_cpu* c) {
+  const auto key = [](const logical_cpu* c) {
     return std::make_tuple(c->node, c->package, c->core, c->smt_rank, c->id);
   };
-  const auto smt_key = [](const logical_cpu* c) {
-    return std::make_tuple(c->smt_rank, c->node, c->package, c->core, c->id);
-  };
-  switch (policy) {
-    case placement_policy::none:
-      return cpus;
-    case placement_policy::compact:
-      std::sort(cpus.begin(), cpus.end(),
-                [&](const logical_cpu* a, const logical_cpu* b) {
-                  return compact_key(a) < compact_key(b);
-                });
-      return cpus;
-    case placement_policy::smt_aware:
-      std::sort(cpus.begin(), cpus.end(),
-                [&](const logical_cpu* a, const logical_cpu* b) {
-                  return smt_key(a) < smt_key(b);
-                });
-      return cpus;
-    case placement_policy::scatter: {
-      // Physical cores first within each node, then interleave the
-      // per-node queues round-robin so consecutive workers land on
-      // different memory controllers.
-      std::map<unsigned, std::vector<const logical_cpu*>> per_node;
-      for (const logical_cpu* cpu : cpus) {
-        per_node[cpu->node].push_back(cpu);
-      }
-      for (auto& [node, queue] : per_node) {
-        std::sort(queue.begin(), queue.end(),
-                  [&](const logical_cpu* a, const logical_cpu* b) {
-                    return smt_key(a) < smt_key(b);
-                  });
-      }
-      std::vector<const logical_cpu*> order;
-      order.reserve(cpus.size());
-      for (std::size_t round = 0; order.size() < cpus.size(); ++round) {
-        for (const auto& [node, queue] : per_node) {
-          if (round < queue.size()) {
-            order.push_back(queue[round]);
-          }
-        }
-      }
-      return order;
-    }
-  }
+  std::sort(cpus.begin(), cpus.end(),
+            [&](const logical_cpu* a, const logical_cpu* b) {
+              return key(a) < key(b);
+            });
   return cpus;
 }
 
@@ -125,7 +70,7 @@ placement_plan plan_placement(const cpu_topology& topology,
   if (policy == placement_policy::none) {
     return plan;
   }
-  const std::vector<const logical_cpu*> order = policy_order(topology, policy);
+  const std::vector<const logical_cpu*> order = compact_order(topology);
   if (order.empty()) {
     return plan;  // nothing allowed: every worker stays unpinned
   }

@@ -8,8 +8,8 @@
 /// unit-testable against canned fixture topologies.  `worker_pool`
 /// consumes the plan and performs the actual pinning.
 ///
-/// Policies (all of them only ever assign CPUs from the allowed
-/// cpuset, and wrap around when workers outnumber allowed CPUs):
+/// Policies (both only ever assign CPUs from the allowed cpuset, and
+/// wrap around when workers outnumber allowed CPUs):
 ///
 ///  * `none`      — no pinning; workers stay wherever the OS scheduler
 ///                  puts them (the pre-runtime behaviour).
@@ -18,14 +18,6 @@
 ///                  1's, …  Maximizes cache/memory locality between
 ///                  sibling workers; the default for the sharded
 ///                  pipeline, whose workers share epoch snapshots.
-///  * `scatter`   — round-robin across NUMA nodes, physical cores
-///                  before SMT siblings.  Maximizes aggregate memory
-///                  bandwidth for independent workers.
-///  * `smt-aware` — one worker per *physical core* first (thread 0 of
-///                  every core, nodes in order); SMT siblings are used
-///                  only once every physical core already has a
-///                  worker.  Avoids two workers contending one core's
-///                  execution ports until the machine is full.
 #pragma once
 
 #include <cstdint>
@@ -40,11 +32,9 @@ namespace hdhash::runtime {
 enum class placement_policy : std::uint8_t {
   none,
   compact,
-  scatter,
-  smt_aware,
 };
 
-/// Canonical CLI/JSON name ("none", "compact", "scatter", "smt-aware").
+/// Canonical CLI/JSON name ("none", "compact").
 std::string_view to_string(placement_policy policy) noexcept;
 
 /// Parses a policy name; std::nullopt for unknown names (callers decide
@@ -102,7 +92,7 @@ io_shard_split plan_io_shard_split(const cpu_topology& topology,
 
 /// Process-wide default policy: `compact` (pin where supported),
 /// overridable with the HDHASH_PIN environment variable
-/// (none|compact|scatter|smt-aware).  An unknown value fails loudly
+/// (none|compact).  An unknown value fails loudly
 /// (hdhash::precondition_error) rather than silently unpinning — the
 /// HDHASH_FORCE_KERNEL convention.
 placement_policy default_placement_policy();

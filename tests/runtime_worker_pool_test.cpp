@@ -60,13 +60,15 @@ std::vector<int> planned_cpus(const placement_plan& plan) {
 
 TEST(PlacementPolicyNamesTest, RoundTrip) {
   for (const auto policy :
-       {placement_policy::none, placement_policy::compact,
-        placement_policy::scatter, placement_policy::smt_aware}) {
+       {placement_policy::none, placement_policy::compact}) {
     const auto parsed = parse_placement_policy(to_string(policy));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, policy);
   }
-  EXPECT_EQ(parse_placement_policy("smt_aware"), placement_policy::smt_aware);
+  // Only none and compact exist; any other name is rejected.
+  for (const char* removed : {"scatter", "smt-aware", "smt_aware"}) {
+    EXPECT_FALSE(parse_placement_policy(removed).has_value()) << removed;
+  }
   EXPECT_FALSE(parse_placement_policy("pinned").has_value());
   EXPECT_FALSE(parse_placement_policy("").has_value());
 }
@@ -98,18 +100,6 @@ TEST(PlacementPlanTest, CompactKeepsSmtSiblingsAdjacent) {
             (std::vector<int>{0, 4, 1, 5, 2, 6, 3, 7}));
 }
 
-TEST(PlacementPlanTest, SmtAwareUsesEveryPhysicalCoreFirst) {
-  // Thread 0 of every core before any hyper-twin.
-  const placement_plan plan =
-      plan_placement(smt_box(), 8, placement_policy::smt_aware);
-  EXPECT_EQ(planned_cpus(plan),
-            (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-  // Four workers on four cores: no core doubled up.
-  const placement_plan four =
-      plan_placement(smt_box(), 4, placement_policy::smt_aware);
-  EXPECT_EQ(planned_cpus(four), (std::vector<int>{0, 1, 2, 3}));
-}
-
 TEST(PlacementPlanTest, CompactFillsOneNodeBeforeTheNext) {
   const placement_plan plan =
       plan_placement(dual_node_smt_box(), 8, placement_policy::compact);
@@ -121,21 +111,10 @@ TEST(PlacementPlanTest, CompactFillsOneNodeBeforeTheNext) {
   }
 }
 
-TEST(PlacementPlanTest, ScatterRoundRobinsAcrossNodes) {
-  const placement_plan plan =
-      plan_placement(dual_node_smt_box(), 8, placement_policy::scatter);
-  EXPECT_EQ(planned_cpus(plan),
-            (std::vector<int>{0, 2, 1, 3, 4, 6, 5, 7}));
-  // Consecutive workers alternate memory controllers.
-  for (std::size_t w = 0; w + 1 < 8; ++w) {
-    EXPECT_NE(plan.workers[w].node, plan.workers[w + 1].node)
-        << "workers " << w << "," << w + 1;
-  }
-}
-
 TEST(PlacementPlanTest, OnlyAllowedCpusAreAssigned) {
   // cgroup-restricted box: of the SMT shape only cpus {1, 5, 2} may
-  // run; every policy confines itself to (and wraps within) those.
+  // run; compact confines itself to (and wraps within) those, and none
+  // assigns no CPU at all.
   std::vector<logical_cpu> cpus;
   for (unsigned id = 0; id < 8; ++id) {
     cpus.push_back(
@@ -143,12 +122,12 @@ TEST(PlacementPlanTest, OnlyAllowedCpusAreAssigned) {
   }
   const cpu_topology topology = cpu_topology::from_cpus(std::move(cpus));
   for (const auto policy :
-       {placement_policy::compact, placement_policy::scatter,
-        placement_policy::smt_aware}) {
+       {placement_policy::none, placement_policy::compact}) {
     const placement_plan plan = plan_placement(topology, 5, policy);
-    EXPECT_TRUE(plan.oversubscribed);
+    const bool pins = policy != placement_policy::none;
+    EXPECT_EQ(plan.oversubscribed, pins);
     for (const worker_placement& w : plan.workers) {
-      EXPECT_TRUE(w.cpu == 1 || w.cpu == 5 || w.cpu == 2)
+      EXPECT_TRUE(pins ? w.cpu == 1 || w.cpu == 5 || w.cpu == 2 : w.cpu == -1)
           << to_string(policy) << " assigned cpu " << w.cpu;
     }
   }

@@ -1,10 +1,14 @@
 /// Scenario × algorithm matrix driver: every cell populated, metrics
 /// within their definitions (disruption bounded below by the measured
 /// forced-move fraction), weighted compilation routed per algorithm,
-/// and determinism of everything except wall timing.
+/// a balance ceiling per algorithm, and determinism of everything
+/// except wall timing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "exp/scenario_matrix.hpp"
@@ -48,6 +52,28 @@ TEST(ScenarioMatrixTest, EveryPlaybookTimesEveryAlgorithmGetsACell) {
     EXPECT_EQ(cell.weighted, algorithm_supports_weights(cell.algorithm));
   }
   EXPECT_EQ(seen.size(), cells.size());  // no duplicate cells
+}
+
+TEST(ScenarioMatrixTest, BalanceStaysUnderEachAlgorithmsCeiling) {
+  // Worst phase-end χ²/dof of each algorithm over the six playbooks at
+  // small_config(), as measured when the ceilings were set (the matrix
+  // is deterministic).  Balance may improve freely; a change that lets
+  // an algorithm's worst case grow by half again fails here.
+  const std::map<std::string, double> measured = {
+      {"bounded", 37.07},         {"consistent", 37.07},
+      {"consistent-rank", 37.07}, {"hd", 7.33},
+      {"hd-hierarchical", 53.16}, {"jump", 1.69},
+      {"maglev", 1.65},           {"modular", 1.45},
+      {"rendezvous", 1.47},       {"weighted-rendezvous", 1.47}};
+  std::map<std::string, double> worst;
+  for (const scenario_cell& cell : run_scenario_matrix(small_config())) {
+    worst[cell.algorithm] =
+        std::max(worst[cell.algorithm], cell.worst_chi_over_dof);
+  }
+  ASSERT_EQ(worst.size(), measured.size());
+  for (const auto& [algorithm, chi_over_dof] : worst) {
+    EXPECT_LT(chi_over_dof, 1.5 * measured.at(algorithm)) << algorithm;
+  }
 }
 
 TEST(ScenarioMatrixTest, SteadyPlaybookHasNoEpisodesAndNoRecoveryClock) {
