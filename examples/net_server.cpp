@@ -7,9 +7,12 @@
 /// Binds 127.0.0.1:7700 by default, pre-joins K servers (ids 1..K) so
 /// ROUTE works immediately, then serves until SIGINT/SIGTERM — at
 /// which point it drains connections gracefully and prints the final
-/// counters.  Drive it with examples/net_load_gen or netcat:
+/// counters.  Drive it with netcat:
 ///
 ///   $ printf 'PING\r\nROUTE 7\r\nSTATS\r\n' | nc 127.0.0.1 7700
+///
+/// For load, `python3 perfbench/run.py --workload tcp-steady` runs the
+/// same `net_server` in process and drives it with a pipelined client.
 #include <chrono>
 #include <csignal>
 #include <cstdio>

@@ -1,5 +1,6 @@
 #include "emu/emulator.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <ctime>
@@ -124,31 +125,23 @@ void apply_event_batch(dynamic_table& table, dynamic_table* shadow,
 }
 
 emulator::emulator(dynamic_table& table, std::size_t buffer_capacity)
-    : table_(table), buffer_(buffer_capacity) {}
+    : table_(table), buffer_capacity_(buffer_capacity) {
+  HDHASH_REQUIRE(buffer_capacity > 0, "buffer capacity must be positive");
+}
 
 void emulator::enable_shadow() { shadow_ = table_.clone(); }
 
-void emulator::drain(run_stats& stats) {
-  drain_scratch_.clear();
-  drain_scratch_.reserve(buffer_.size());
-  while (const auto e = buffer_.pop()) {
-    drain_scratch_.push_back(*e);
-  }
-  apply_event_batch(table_, shadow_.get(), drain_scratch_, stats,
-                    timing_ ? timing_mode::wall : timing_mode::off);
-}
-
 run_stats emulator::run(std::span<const event> events) {
   run_stats stats;
-  for (const event& e : events) {
-    if (!buffer_.push(e)) {
-      drain(stats);
-      const bool pushed = buffer_.push(e);
-      HDHASH_ASSERT(pushed);
-      (void)pushed;
-    }
+  const timing_mode timing = timing_ ? timing_mode::wall : timing_mode::off;
+  for (std::size_t begin = 0; begin < events.size();
+       begin += buffer_capacity_) {
+    apply_event_batch(
+        table_, shadow_.get(),
+        events.subspan(begin,
+                       std::min(buffer_capacity_, events.size() - begin)),
+        stats, timing);
   }
-  drain(stats);
   return stats;
 }
 

@@ -2,16 +2,21 @@
 /// \brief The emulation framework tying generator → buffer → hash-table
 /// module together (paper Section 5.1), with optional shadow-oracle
 /// mismatch accounting and batch wall-time measurement.
+///
+/// The paper's hash-table module reads requests from a 256-event
+/// buffer, the batch size that amortized its GPU transfers.  Here the
+/// generator's stream is already in memory, so the buffer is a window:
+/// the table module takes consecutive `buffer_capacity`-event spans of
+/// the stream, in order, and each span delimits the batches whose wall
+/// time the efficiency experiment measures.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "emu/event.hpp"
-#include "emu/event_buffer.hpp"
 #include "table/dynamic_table.hpp"
 
 namespace hdhash {
@@ -21,7 +26,7 @@ struct run_stats {
   std::size_t requests = 0;
   std::size_t joins = 0;
   std::size_t leaves = 0;
-  /// Request sub-batches fed through lookup_batch (a drained buffer
+  /// Request sub-batches fed through lookup_batch (a buffered batch
   /// contributes one per membership-delimited request segment).
   std::size_t batches = 0;
   /// Requests whose answer differed from the pristine shadow table
@@ -30,7 +35,7 @@ struct run_stats {
   /// Requests answered with an identifier not in the pool at all (a
   /// corrupted id escaping the table) — a subset of mismatches.
   std::size_t invalid_assignments = 0;
-  /// Wall time spent inside request lookups, measured per drained batch.
+  /// Wall time spent inside request lookups, measured per sub-batch.
   double total_request_ns = 0.0;
   /// Requests per (possibly corrupted) returned server id.
   std::unordered_map<server_id, std::uint64_t> load;
@@ -73,7 +78,7 @@ enum class timing_mode : std::uint8_t {
 /// by the plain and sharded emulators' per-sub-batch metering.
 std::int64_t timing_now_ns(timing_mode timing);
 
-/// Applies one drained event batch to `table` (and `shadow`, when
+/// Applies one buffered event batch to `table` (and `shadow`, when
 /// non-null) in arrival order: membership events segment the batch, and
 /// each request sub-batch is answered through lookup_batch against the
 /// exact table state it observed.  A request that arrived before a
@@ -86,16 +91,18 @@ void apply_event_batch(dynamic_table& table, dynamic_table* shadow,
                        std::span<const event> batch, run_stats& stats,
                        timing_mode timing);
 
-/// Feeds an event stream through a bounded buffer into a dynamic table.
+/// Feeds an event stream into a dynamic table in buffer-sized batches.
 ///
-/// Mirrors the paper's emulator: events are staged into the buffer until
-/// it fills (batch of `buffer_capacity`), then the hash-table module
-/// drains it; request wall time is measured per drained batch so the
-/// clock overhead amortizes the way the paper's GPU batching did.
+/// Mirrors the paper's emulator: the hash-table module takes the stream
+/// `buffer_capacity` events at a time (the last batch may be shorter)
+/// and applies each batch with apply_event_batch(); request wall time
+/// is measured per sub-batch so the clock overhead amortizes the way
+/// the paper's GPU batching did.
 class emulator {
  public:
   /// \param table            the table under test (borrowed).
   /// \param buffer_capacity  batch size; the paper used 256.
+  /// \pre buffer_capacity > 0.
   explicit emulator(dynamic_table& table, std::size_t buffer_capacity = 256);
 
   /// Clones the table's *current* state as a pristine oracle.  After this,
@@ -115,12 +122,9 @@ class emulator {
   const dynamic_table* shadow() const noexcept { return shadow_.get(); }
 
  private:
-  void drain(run_stats& stats);
-
   dynamic_table& table_;
   std::unique_ptr<dynamic_table> shadow_;
-  event_buffer buffer_;
-  std::vector<event> drain_scratch_;  // reused across drains
+  std::size_t buffer_capacity_;
   bool timing_ = true;
 };
 

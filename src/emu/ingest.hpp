@@ -1,38 +1,38 @@
 /// \file ingest.hpp
 /// \brief The ingest fabric: an M-producer × N-shard mesh of lock-free
-/// SPSC rings, with one producer-side handle (`ingest_session`) and one
-/// consumer-side handle (`shard_consumer`).
+/// SPSC rings, pushed through `lane(p, s)` and popped through one
+/// consumer-side handle per column (`shard_consumer`).
 ///
 /// The shard engine, `stream_router`, hands every batch over through
 /// it — one row per router session (the sharded emulator's producers,
 /// the TCP server's io loops), one column per shard decode loop:
 ///
 /// ```
-///   producer 0 ──► session 0 ──► ring(0,0) ring(0,1) … ring(0,N-1)
-///   producer 1 ──► session 1 ──► ring(1,0) ring(1,1) … ring(1,N-1)
-///      …                                │        │
-///   producer M-1 ─► session M-1 ─► ring(M-1,0)   │
-///                                       ▼        ▼
-///                       shard 0: consumer scans column 0
-///                       shard 1: consumer scans column 1   …
+///   producer 0 ──► lane(0,0) lane(0,1) … lane(0,N-1)
+///   producer 1 ──► lane(1,0) lane(1,1) … lane(1,N-1)
+///      …               │         │
+///   producer M-1 ─► lane(M-1,0)  │
+///                      ▼         ▼
+///        shard 0: consumer scans column 0
+///        shard 1: consumer scans column 1   …
 /// ```
 ///
 /// Each (producer, shard) pair owns a dedicated bounded `spsc_ring`
 /// (emu/spsc_ring.hpp), so the single-producer/single-consumer
-/// discipline holds *by construction*: session p is the only pusher of
+/// discipline holds *by construction*: producer p is the only pusher of
 /// row p, and shard s's consumer (one worker-pool thread) is the only
 /// popper of column s.  No lock, no CAS, no shared cursor anywhere on
 /// the hot path.
 ///
-/// Ordering: FIFO per ring — batches from one session reach a shard in
-/// push order.  Batches from *different* sessions are unordered
+/// Ordering: FIFO per ring — batches from one producer reach a shard
+/// in push order.  Batches from *different* producers are unordered
 /// relative to each other (the consumer scans its column round-robin);
-/// producers that need cross-session ordering sequence it out of band,
+/// producers that need cross-row ordering sequence it out of band,
 /// the way the sharded emulator's multi-producer runs bind every
 /// request to its membership epoch before the producers fan out.
 ///
-/// Shutdown: each session closes its own row when its stream is done
-/// (`session.close()`, exception-safe — a dying producer must still
+/// Shutdown: each producer closes its own row when its stream is done
+/// (`close_row(p)`, on every exit path — a dying producer must still
 /// close, or its consumers spin forever); a consumer's `pop()` returns
 /// false once *every* lane in its column is closed and drained.
 /// `mesh.close()` force-closes everything (the router's stop()).
@@ -45,7 +45,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "emu/spsc_ring.hpp"
@@ -54,13 +53,12 @@
 namespace hdhash {
 
 template <typename T>
-class ingest_session;
-template <typename T>
 class shard_consumer;
 
-/// The M×N ring fabric.  Construct once per pipeline run; hand each
-/// producer thread its `session(p)` and each shard worker its
-/// `consumer(s)`.  The mesh must outlive every handle.
+/// The M×N ring fabric.  Construct once per pipeline run; producer p
+/// pushes through `lane(p, s)` and closes its row with `close_row(p)`,
+/// and each shard worker pops through its `consumer(s)`.  The mesh
+/// must outlive every handle.
 template <typename T>
 class ingest_mesh {
  public:
@@ -87,8 +85,15 @@ class ingest_mesh {
     return *lanes_[producer * shards_ + shard];
   }
 
-  /// Producer-side handle for one mesh row (see ingest_session).
-  ingest_session<T> session(std::size_t producer);
+  /// Ends producer `producer`'s stream: closes every lane in its row,
+  /// waking the shard consumers.  Call on every exit path — a producer
+  /// that stops without closing leaves its consumers waiting forever.
+  void close_row(std::size_t producer) {
+    for (std::size_t s = 0; s < shards_; ++s) {
+      lane(producer, s).close();
+    }
+  }
+
   /// Consumer-side handle for one mesh column (see shard_consumer).
   shard_consumer<T> consumer(std::size_t shard);
 
@@ -104,39 +109,6 @@ class ingest_mesh {
   std::size_t shards_ = 0;
   // Producer-major; behind pointers because a ring is immovable.
   std::vector<std::unique_ptr<spsc_ring<T>>> lanes_;
-};
-
-/// One producer's ingest surface: push batches at shards, then close
-/// the row when the stream ends.  Exactly one thread may use a given
-/// session (that thread is the SPSC producer of the whole row).  Cheap
-/// to copy within that constraint (it is a view over the mesh).
-template <typename T>
-class ingest_session {
- public:
-  ingest_session() = default;
-
-  /// Blocking push with backpressure; throws channel_closed if the
-  /// lane was closed underneath the producer (stop path).
-  void push(std::size_t shard, T&& item) {
-    mesh_->lane(producer_, shard).push(std::move(item));
-  }
-
-  /// Ends this producer's stream: closes every lane in the row, waking
-  /// the shard consumers.  Call on every exit path — a producer that
-  /// dies without closing leaves its consumers waiting forever.
-  void close() {
-    for (std::size_t s = 0; s < mesh_->shards(); ++s) {
-      mesh_->lane(producer_, s).close();
-    }
-  }
-
- private:
-  friend class ingest_mesh<T>;
-  ingest_session(ingest_mesh<T>* mesh, std::size_t producer)
-      : mesh_(mesh), producer_(producer) {}
-
-  ingest_mesh<T>* mesh_ = nullptr;
-  std::size_t producer_ = 0;
 };
 
 /// One shard's ingest surface: pops batches from all M producer lanes
@@ -197,12 +169,6 @@ class shard_consumer {
   std::size_t shard_ = 0;
   std::size_t cursor_ = 0;
 };
-
-template <typename T>
-ingest_session<T> ingest_mesh<T>::session(std::size_t producer) {
-  HDHASH_REQUIRE(producer < producers_, "mesh producer out of range");
-  return ingest_session<T>(this, producer);
-}
 
 template <typename T>
 shard_consumer<T> ingest_mesh<T>::consumer(std::size_t shard) {

@@ -196,7 +196,7 @@ class stream_router {
     /// Ends this session's stream: closes its row, so the decode loops
     /// can drain and exit before stop() (producers that run on other
     /// threads than stop()'s caller).
-    void close() { router_->mesh_->session(row_).close(); }
+    void close() { router_->mesh_->close_row(row_); }
 
    private:
     friend class stream_router;

@@ -110,7 +110,7 @@ void encode_route_reply(std::string& out, std::uint64_t server);
 void encode_error(std::string& out, std::string_view message);
 void encode_bulk(std::string& out, std::string_view payload);
 
-// --- reply parsing (client side: load generator, tests) ---------------
+// --- reply parsing (client side: the e2e tests) -----------------------
 
 /// One parsed reply frame.
 struct wire_reply {

@@ -1,6 +1,6 @@
 /// \file socket.hpp
 /// \brief Minimal RAII + setup helpers over BSD sockets, shared by the
-/// server's reactor, the load generator and the e2e tests.
+/// server's reactor, perfbench's TCP client and the e2e tests.
 ///
 /// Deliberately thin: these wrap exactly the setup dance every user of
 /// the net layer repeats (socket/bind/listen with SO_REUSEADDR,

@@ -284,18 +284,16 @@ TEST(IngestMeshTest, LaneIndexingIsProducerMajor) {
 TEST(IngestMeshTest, ConsumerClosesOnlyWhenAllLanesClose) {
   ingest_mesh<int> mesh(2, 1, 4);
   auto consumer = mesh.consumer(0);
-  auto session0 = mesh.session(0);
-  auto session1 = mesh.session(1);
 
-  session0.push(0, 10);
-  session0.close();
+  mesh.lane(0, 0).push(10);
+  mesh.close_row(0);
   int out = 0;
   ASSERT_EQ(consumer.try_pop(out), pop_status::ok);
   EXPECT_EQ(out, 10);
   // One producer still open: the column reads empty, not closed.
   EXPECT_EQ(consumer.try_pop(out), pop_status::empty);
-  session1.push(0, 11);
-  session1.close();
+  mesh.lane(1, 0).push(11);
+  mesh.close_row(1);
   ASSERT_EQ(consumer.try_pop(out), pop_status::ok);
   EXPECT_EQ(out, 11);
   EXPECT_EQ(consumer.try_pop(out), pop_status::closed);
@@ -356,11 +354,10 @@ TEST(IngestMeshTortureTest, MxNMeshDeliversEverythingInPerProducerOrder) {
   }
   for (std::size_t p = 0; p < kProducers; ++p) {
     threads.emplace_back([&mesh, p] {
-      auto session = mesh.session(p);
       for (std::uint64_t i = 0; i < kItems; ++i) {
-        session.push(i % kShards, {p, i});
+        mesh.lane(p, i % kShards).push({p, i});
       }
-      session.close();
+      mesh.close_row(p);
     });
   }
   for (auto& thread : threads) {
@@ -379,10 +376,9 @@ TEST(IngestMeshTortureTest, MeshCloseUnblocksStalledProducers) {
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&mesh, &threw, p] {
-      auto session = mesh.session(p);
       try {
         for (int i = 0;; ++i) {
-          session.push(0, int{i});  // fills the lane, then blocks
+          mesh.lane(p, 0).push(int{i});  // fills the lane, then blocks
         }
       } catch (const channel_closed&) {
         threw.fetch_add(1);

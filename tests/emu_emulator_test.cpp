@@ -5,6 +5,7 @@
 #include "emu/generator.hpp"
 #include "exp/factory.hpp"
 #include "fault/injector.hpp"
+#include "util/require.hpp"
 
 namespace hdhash {
 namespace {
@@ -123,7 +124,7 @@ TEST(EmulatorTest, ChurnEventsReachTheTable) {
 }
 
 TEST(EmulatorTest, BufferedRequestsSeeTheTableStateTheyArrivedUnder) {
-  // Regression: drain() used to apply every join/leave in the buffer
+  // Regression: the emulator used to apply every join/leave in a batch
   // before answering any buffered request, so a request that arrived
   // before a leave was resolved against the post-churn table.  With a
   // buffer large enough to hold the whole stream, the per-server load
@@ -136,7 +137,7 @@ TEST(EmulatorTest, BufferedRequestsSeeTheTableStateTheyArrivedUnder) {
     events.push_back(event{event_kind::join, s * 977});
     reference->join(s * 977);
   }
-  // Interleave churn with requests inside what will be a single drain:
+  // Interleave churn with requests inside what will be a single batch:
   // requests 0..499, then a leave, requests 500..999, then a join.
   std::unordered_map<server_id, std::uint64_t> expected;
   auto expect_requests = [&](request_id from, request_id to) {
@@ -158,7 +159,7 @@ TEST(EmulatorTest, BufferedRequestsSeeTheTableStateTheyArrivedUnder) {
   // scenario would not discriminate (sanity check on the setup).
   ASSERT_GT(expected[3 * 977], 0u);
 
-  emulator emu(*table, events.size());  // one drain holds everything
+  emulator emu(*table, events.size());  // one batch holds everything
   const auto stats = emu.run(events);
   EXPECT_EQ(stats.requests, 1500u);
   EXPECT_EQ(stats.load, expected);
@@ -170,6 +171,60 @@ TEST(EmulatorTest, SmallBufferStillProcessesEverything) {
   emulator emu(*table, 1);  // degenerate batch size
   const auto stats = emu.run(gen.generate());
   EXPECT_EQ(stats.requests, 1000u);
+}
+
+/// `count` request events with distinct ids.
+std::vector<event> request_stream(std::size_t count) {
+  std::vector<event> events;
+  for (request_id r = 0; r < count; ++r) {
+    events.push_back(event{event_kind::request, r * 0x9e3779b97f4a7c15ULL});
+  }
+  return events;
+}
+
+/// Sub-batches an emulator of `capacity` makes of `events` on a
+/// four-server table.
+std::size_t batches_of(const std::vector<event>& events,
+                       std::size_t capacity) {
+  auto table = make_table("jump", fast_options());
+  for (server_id s = 1; s <= 4; ++s) {
+    table->join(s);
+  }
+  emulator emu(*table, capacity);
+  emu.set_timing(false);
+  return emu.run(events).batches;
+}
+
+TEST(EmulatorTest, BatchesAreConsecutiveBufferSpans) {
+  // A request-only stream is cut into ceil(N / c) buffer batches of c
+  // consecutive events, each one lookup_batch call.
+  constexpr std::size_t kRequests = 1000;
+  const std::vector<event> events = request_stream(kRequests);
+  for (const std::size_t capacity : {1, 250, 256, 1000}) {
+    EXPECT_EQ(batches_of(events, capacity),
+              (kRequests + capacity - 1) / capacity)
+        << "capacity " << capacity;
+  }
+}
+
+TEST(EmulatorTest, MembershipEventSplitsOnlyTheBatchItFallsIn) {
+  // At capacity 256 the 1,000 requests make 4 batches.  A join after
+  // request 100 splits the first batch into two sub-batches; the same
+  // join at event index 256 opens the second batch and splits nothing.
+  const auto with_join_at = [](std::size_t index) {
+    std::vector<event> events = request_stream(1000);
+    events.insert(events.begin() + static_cast<std::ptrdiff_t>(index),
+                  event{event_kind::join, 99});
+    return events;
+  };
+  EXPECT_EQ(batches_of(request_stream(1000), 256), 4u);
+  EXPECT_EQ(batches_of(with_join_at(100), 256), 5u);
+  EXPECT_EQ(batches_of(with_join_at(256), 256), 4u);
+}
+
+TEST(EmulatorTest, ZeroCapacityThrows) {
+  auto table = make_table("jump", fast_options());
+  EXPECT_THROW(emulator(*table, 0), precondition_error);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 /// the suite stays fast under the ASan/UBSan CI lanes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -18,7 +19,7 @@
 #include "emu/emulator.hpp"
 #include "emu/event.hpp"
 #include "exp/factory.hpp"
-#include "net/load_gen.hpp"
+#include "hashing/splitmix_hash.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
@@ -276,44 +277,68 @@ TEST(NetServer, SingleConnectionChurnMatchesInProcessEmulator) {
       << "delivered load histogram diverged from the emulator";
 }
 
-/// Multi-connection determinism under a static pool: every connection's
-/// answers must equal the in-process table's lookups of its exact id
-/// stream (order across connections is irrelevant without churn).
-TEST(NetServer, MultiConnectionLoadGenMatchesInProcessTable) {
+/// Multi-connection determinism under a static pool: client threads,
+/// each on its own blocking connection, pipeline ROUTEs in fixed
+/// windows, and every answer must equal the in-process table's lookup
+/// of its id (order across connections is irrelevant without churn).
+TEST(NetServer, MultiConnectionLoadMatchesInProcessTable) {
   if (!net_server::supported()) {
     GTEST_SKIP() << "epoll reactor unsupported on this platform";
   }
+  static constexpr std::size_t kConnections = 8;
+  static constexpr std::size_t kRequests = 2000;  // per connection
+  static constexpr std::size_t kWindow = 64;
+  const auto id_of = [](std::size_t connection, std::size_t i) {
+    return splitmix_hash::mix(connection * kRequests + i);
+  };
+
   net_server server = make_server(4, 2);
   server.start();
   for (std::uint64_t s = 1; s <= 16; ++s) {
     server.router().join(s);
   }
-
-  load_gen_config load;
-  load.port = server.port();
-  load.connections = 8;
-  load.requests_per_connection = 2000;
-  load.pipeline_depth = 64;
-  load.record_answers = true;
-  const load_gen_report report = run_load_gen(load);
+  std::vector<std::vector<wire_reply>> replies(kConnections);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&server, &replies, &id_of, c] {
+      std::string error;
+      const unique_fd fd = tcp_connect("127.0.0.1", server.port(), &error);
+      ASSERT_TRUE(fd.valid()) << error;
+      reply_parser parser;
+      for (std::size_t begin = 0; begin < kRequests; begin += kWindow) {
+        const std::size_t end = std::min(begin + kWindow, kRequests);
+        std::string commands;
+        for (std::size_t i = begin; i < end; ++i) {
+          commands += "ROUTE " + std::to_string(id_of(c, i)) + "\r\n";
+        }
+        const auto window = exchange(fd.get(), parser, commands, end - begin);
+        ASSERT_EQ(window.size(), end - begin) << "connection " << c;
+        replies[c].insert(replies[c].end(), window.begin(), window.end());
+      }
+    });
+  }
+  for (std::thread& client : clients) {
+    client.join();
+  }
   server.stop();
-
-  ASSERT_EQ(report.requests, load.connections * load.requests_per_connection);
-  EXPECT_EQ(report.errors, 0u);
-  ASSERT_EQ(report.answers.size(), load.connections);
 
   auto table = make_table("hd-hierarchical", small_options());
   for (std::uint64_t s = 1; s <= 16; ++s) {
     table->join(s);
   }
-  for (std::size_t c = 0; c < load.connections; ++c) {
-    const std::vector<request_id> ids = load_gen_ids(load, c);
-    ASSERT_EQ(report.answers[c].size(), ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      ASSERT_EQ(report.answers[c][i], table->lookup(ids[i]))
+  std::size_t checked = 0;
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    ASSERT_EQ(replies[c].size(), kRequests) << "connection " << c;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      const wire_reply& reply = replies[c][i];
+      ASSERT_EQ(reply.type, wire_reply::kind::integer)
           << "connection " << c << ", request " << i;
+      ASSERT_EQ(reply.value, table->lookup(id_of(c, i)))
+          << "connection " << c << ", request " << i;
+      ++checked;
     }
   }
+  EXPECT_EQ(checked, kConnections * kRequests);
 }
 
 TEST(NetServer, GracefulShutdownCompletesInflightWork) {
