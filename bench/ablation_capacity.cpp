@@ -12,7 +12,6 @@
 #include "exp/robustness.hpp"
 #include "exp/uniformity.hpp"
 #include "hashing/registry.hpp"
-#include "stats/chi_squared.hpp"
 #include "util/table_printer.hpp"
 
 int main() {

@@ -32,7 +32,7 @@
 int main(int argc, char** argv) {
   using namespace hdhash;
   // One parser for every emulator knob: --shards N|auto, --producers
-  // M|auto, --pin <policy>, --mem <backing>, --scenario <name>.
+  // M|auto, --pin <policy>, --scenario <name>.
   const emulator_options opts = parse_emulator_options(argc, argv);
   if (!opts.ok()) {
     for (const std::string& error : opts.errors) {

@@ -284,7 +284,7 @@ class hd_table final : public dynamic_table {
   hd_table_config config_;
   // The arena backing rows and the slot cache: the constructing
   // thread's node-local arena (mem::local_arena(), created under the
-  // HDHASH_MEM/--mem request).  Shared with clones and snapshots so
+  // HDHASH_MEM request).  Shared with clones and snapshots so
   // shared residency has one owner.
   std::shared_ptr<mem::hugepage_arena> arena_;
   circle_encoder encoder_;

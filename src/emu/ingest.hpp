@@ -37,10 +37,11 @@
 /// false once *every* lane in its column is closed and drained.
 /// `mesh.close()` force-closes everything (the router's stop()).
 ///
-/// Buffer recycling is the separate `buffer_pool` API
-/// (emu/buffer_pool.hpp): the router keeps one pool per *shard*, shared
-/// by every session feeding that shard, so buffers first-touched on a
-/// shard worker's NUMA node keep circulating back to it.
+/// Buffers recycle through the lanes themselves: a pop leaves the
+/// consumer's drained item in the slot it empties, and the next push
+/// into that slot hands it back to the producer (emu/spsc_ring.hpp).
+/// A drained item may thus return through a different lane of its
+/// column from the one it arrived on.
 #pragma once
 
 #include <cstddef>

@@ -16,10 +16,15 @@
 ///  * **loud close** — after `close()`, `push()` throws
 ///    `channel_closed` (including a push already *blocked* on a full
 ///    ring when close arrives — it wakes and throws instead of
-///    deadlocking), and `pop()` drains the remaining items, then
-///    returns false forever;
+///    deadlocking), and `try_pop()` drains the remaining items, then
+///    reports `closed` forever;
 ///  * **non-blocking probes** — `try_push`/`try_pop` return a status
-///    (`ok`/`full|empty`/`closed`) and never block or throw.
+///    (`ok`/`full|empty`/`closed`) and never block or throw;
+///  * **slots recycle** — a push and a pop each *swap* with their slot
+///    instead of moving into it.  A pop leaves the consumer's previous
+///    item in the slot it empties, and the push that next fills that
+///    slot hands it to the producer, so a buffer the consumer drained
+///    comes back to the producer one lap later with its allocation.
 ///
 /// Design (the classic bounded SPSC queue, cf. cachegrand's
 /// `ring_bounded_queue_spsc` and Rigtorp's SPSC ring):
@@ -36,9 +41,11 @@
 ///    the two hot threads).
 ///  * **acquire/release publication** — the producer writes the slot,
 ///    then publishes with `tail.store(release)`; the consumer observes
-///    the slot only after `tail.load(acquire)`, which is the entire
-///    synchronization story: no locks, no CAS, no fences beyond the
-///    pair.
+///    the slot only after `tail.load(acquire)`.  The mirror pair covers
+///    what a pop leaves behind: `head.store(release)` after the swap,
+///    and the producer reuses the slot only after `head.load(acquire)`.
+///    That is the entire synchronization story: no locks, no CAS, no
+///    fences beyond the two pairs.
 ///  * **batched cursor refresh (cached cursors)** — the expensive
 ///    cross-core load of the peer's cursor happens only when the local
 ///    cached copy says the ring *looks* full (producer) or empty
@@ -50,17 +57,15 @@
 /// `try_push` that already read a free slot may complete concurrently
 /// with `close()` — the contract is that producers stop pushing before
 /// or upon observing the close, and every blocking `push()` parked on a
-/// full ring wakes and throws `channel_closed`.  `pop()` keeps draining
-/// queued items after close and returns false only once the ring is
-/// empty — nothing pushed before close is ever lost.
+/// full ring wakes and throws `channel_closed`.  `try_pop()` keeps
+/// draining queued items after close and reports `closed` only once
+/// the ring is empty — nothing pushed before close is ever lost.
 ///
 /// Strictly single-producer/single-consumer: one thread pushes, one
 /// thread pops.  The ingest mesh gives every producer its own ring per
-/// shard precisely so this holds by construction.
-///
-/// Buffer recycling is not part of the channel: the producer/consumer
-/// memory round-trip lives in the standalone `buffer_pool`
-/// (emu/buffer_pool.hpp).
+/// shard precisely so this holds by construction.  Consumers block in
+/// the mesh's `shard_consumer::pop` (emu/ingest.hpp), producers in
+/// `push()`.
 #pragma once
 
 #include <atomic>
@@ -86,14 +91,14 @@ class channel_closed : public precondition_error {
 
 /// Non-blocking push outcome.
 enum class push_status : std::uint8_t {
-  ok,      ///< the item was moved into the ring
+  ok,      ///< the item was swapped into the ring
   full,    ///< no slot free; the item is untouched — retry later
   closed,  ///< the ring is closed; the item is untouched
 };
 
 /// Non-blocking pop outcome.
 enum class pop_status : std::uint8_t {
-  ok,      ///< an item was moved out
+  ok,      ///< an item was swapped out
   empty,   ///< nothing queued right now (ring still open)
   closed,  ///< closed *and* drained — no item will ever arrive again
 };
@@ -155,8 +160,11 @@ class spsc_ring {
     HDHASH_REQUIRE(capacity >= 1, "channel capacity must be positive");
   }
 
-  /// Non-blocking push; `item` is moved from only on `ok`.  Producer
-  /// thread only.
+  /// Non-blocking push.  On `ok`, `item` and its slot swap: the ring
+  /// takes the item and hands back what the slot held — a
+  /// default-constructed T on the first lap, afterwards whatever the
+  /// consumer's pop left there.  On `full` or `closed`, `item` is
+  /// untouched.  Producer thread only.
   push_status try_push(T& item) {
     if (closed_.load(std::memory_order_acquire)) {
       return push_status::closed;
@@ -171,19 +179,19 @@ class spsc_ring {
         return push_status::full;
       }
     }
-    slots_[tail & mask_] = std::move(item);
+    std::swap(slots_[tail & mask_], item);
     tail_.store(tail + 1, std::memory_order_release);
     return push_status::ok;
   }
 
-  /// Blocks (spin → yield → park) while the ring is full; throws
-  /// channel_closed once the ring is closed — a waiter parked on a
-  /// full ring wakes and throws rather than deadlocking.
-  void push(T&& item) {
-    T local = std::move(item);
+  /// Blocks (spin → yield → park) while the ring is full, then swaps
+  /// `item` with its slot as try_push() does; throws channel_closed
+  /// once the ring is closed — a waiter parked on a full ring wakes and
+  /// throws rather than deadlocking.
+  void push(T& item) {
     detail::channel_backoff backoff;
     for (;;) {
-      switch (try_push(local)) {
+      switch (try_push(item)) {
         case push_status::ok:
           return;
         case push_status::closed:
@@ -195,8 +203,10 @@ class spsc_ring {
     }
   }
 
-  /// Non-blocking pop.  `closed` means closed *and* drained.  Consumer
-  /// thread only.
+  /// Non-blocking pop.  On `ok`, `out` and the slot swap: `out` takes
+  /// the item, and the slot keeps `out`'s previous value for the push
+  /// that next fills it.  `closed` means closed *and* drained.
+  /// Consumer thread only.
   pop_status try_pop(T& out) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
     if (head == tail_cache_) {
@@ -214,31 +224,14 @@ class spsc_ring {
         }
       }
     }
-    out = std::move(slots_[head & mask_]);
+    std::swap(out, slots_[head & mask_]);
     head_.store(head + 1, std::memory_order_release);
     return pop_status::ok;
   }
 
-  /// Blocks for the next item; returns false once the ring is closed
-  /// and drained.
-  bool pop(T& out) {
-    detail::channel_backoff backoff;
-    for (;;) {
-      switch (try_pop(out)) {
-        case pop_status::ok:
-          return true;
-        case pop_status::closed:
-          return false;
-        case pop_status::empty:
-          backoff.pause();
-          break;
-      }
-    }
-  }
-
   /// Atomic close; safe from any thread.  Parked pushers wake and
-  /// throw; the consumer drains what was already published, then pop()
-  /// returns false forever.
+  /// throw; the consumer drains what was already published, then
+  /// try_pop() reports `closed` forever.
   void close() { closed_.store(true, std::memory_order_release); }
 
   bool closed() const { return closed_.load(std::memory_order_acquire); }

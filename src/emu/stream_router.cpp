@@ -12,10 +12,6 @@ namespace {
 /// Salt of the request partition hash.
 constexpr std::uint64_t kPartitionSeed = 0x5A4D'ED01;
 
-/// Requests each first-touched batch is sized for: the paper's batch
-/// size, and both front ends' default.
-constexpr std::size_t kWarmRequests = 256;
-
 /// Sets `done`, then runs and releases `on_complete`.
 void complete(stream_router::route_batch& ticket) {
   ticket.done.store(true, std::memory_order_release);
@@ -61,21 +57,6 @@ void stream_router::start() {
     return;
   }
   started_ = true;
-  // First-touch generation: every session can hold one open batch and
-  // fill its lane before a producer falls back to a fresh (producer-
-  // touched) allocation.
-  const std::size_t warm = config_.sessions + config_.channel_depth;
-  for (std::size_t s = 0; s < config_.shards; ++s) {
-    pool_.submit(first_worker_ + s, [this, s, warm] {
-      for (std::size_t i = 0; i < warm; ++i) {
-        epoch_batch batch;
-        batch.append().requests.resize(kWarmRequests);
-        batch.reset();
-        shard_states_[s].pool.recycle(std::move(batch));
-      }
-    });
-  }
-  pool_.wait_idle();
   for (std::size_t s = 0; s < config_.shards; ++s) {
     pool_.submit(first_worker_ + s, [this, s] { decode_loop(s); });
   }
@@ -147,8 +128,9 @@ void stream_router::decode_loop(std::size_t shard) {
         }
       }
     }
+    // The next pop leaves this batch in the slot it empties, for the
+    // producer's next push there; it must carry no epoch or ticket.
     batch.reset();
-    state.pool.recycle(std::move(batch));
   }
 }
 
@@ -241,8 +223,7 @@ void stream_router::session::submit(std::shared_ptr<route_batch> batch) {
 
 void stream_router::session::flush(std::size_t shard) {
   if (!open_[shard].empty()) {
-    router_->mesh_->lane(row_, shard).push(std::move(open_[shard]));
-    open_[shard] = epoch_batch{};
+    router_->mesh_->lane(row_, shard).push(open_[shard]);
   }
 }
 

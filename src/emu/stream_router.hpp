@@ -12,9 +12,10 @@
 /// What a shard decodes is an `epoch_batch`: requests split into
 /// segments at the membership epochs they arrived under, each answered
 /// by `lookup_batch` on exactly that epoch's snapshot.  Batches recycle
-/// through one buffer_pool per shard, first-touched by the shard's
-/// worker at start() (allocated and written first, so the pages sit on
-/// its own NUMA node).  A session keeps one open batch per shard:
+/// through the rings themselves: a push swaps the full batch with its
+/// slot and hands the session back the batch a decode loop drained
+/// there one lap earlier (emu/spsc_ring.hpp), so a warm pipeline
+/// refills the same buffers.  A session keeps one open batch per shard:
 /// `sharded_emulator::run()` routes each request into it
 /// (open_segment(), flush()), and `net::net_server`'s io loops submit()
 /// `route_batch` tickets, split into one segment per covered shard; the
@@ -55,7 +56,6 @@
 #include <mutex>
 #include <vector>
 
-#include "emu/buffer_pool.hpp"
 #include "emu/emulator.hpp"
 #include "emu/ingest.hpp"
 #include "emu/snapshot.hpp"
@@ -124,8 +124,7 @@ class stream_router {
   /// slot-dedup window.  Segments are reused in place across recycles
   /// (only segments[0..used) are live): reset() drops the references
   /// but keeps every vector's capacity, so a recycled batch refills
-  /// without reallocating — and without losing the first-touch
-  /// placement of its pages.
+  /// without reallocating.
   struct epoch_batch {
     std::vector<epoch_segment> segments;
     std::size_t used = 0;
@@ -170,16 +169,12 @@ class stream_router {
 
     /// The segment of `shard`'s open batch that takes the next request
     /// of epoch `snap`: the last one when it has that epoch, else a new
-    /// one stamped (`snap`, `shadow_snap`).  A new open batch is a
-    /// recycled one, first-touched by the shard's worker, when one is
-    /// back.
+    /// one stamped (`snap`, `shadow_snap`).
     epoch_segment& open_segment(
         std::size_t shard, const std::shared_ptr<const table_snapshot>& snap,
         const std::shared_ptr<const table_snapshot>& shadow_snap = nullptr) {
       epoch_batch& batch = open_[shard];
-      if (batch.empty()) {
-        router_->shard_states_[shard].pool.take(batch);
-      } else if (batch.segments[batch.used - 1].snap == snap) {
+      if (!batch.empty() && batch.segments[batch.used - 1].snap == snap) {
         return batch.segments[batch.used - 1];
       }
       epoch_segment& segment = batch.append();
@@ -188,9 +183,10 @@ class stream_router {
       return segment;
     }
 
-    /// Hands `shard`'s open batch, if any, to its decode loop; blocks
-    /// while the lane is full (backpressure) and throws channel_closed
-    /// once the router stopped.
+    /// Hands `shard`'s open batch, if any, to its decode loop; the
+    /// drained batch the lane hands back becomes the new open batch.
+    /// Blocks while the lane is full (backpressure) and throws
+    /// channel_closed once the router stopped.
     void flush(std::size_t shard);
 
     /// Ends this session's stream: closes its row, so the decode loops
@@ -224,9 +220,7 @@ class stream_router {
   stream_router(const stream_router&) = delete;
   stream_router& operator=(const stream_router&) = delete;
 
-  /// First-touches each shard's recycled batches on its own worker,
-  /// then launches one decode loop per shard.  Idempotent once
-  /// running.
+  /// Launches one decode loop per shard.  Idempotent once running.
   void start();
 
   /// Closes every mesh lane and waits until all decode loops have
@@ -294,7 +288,6 @@ class stream_router {
   /// State one decode loop owns.  Cache-line aligned so two workers'
   /// counters never share a line.
   struct alignas(64) shard_state {
-    buffer_pool<epoch_batch> pool;
     run_stats stats;
     std::exception_ptr error;  ///< first fault of a ticket-less segment
   };

@@ -75,13 +75,6 @@ emulator_options parse_emulator_options(int argc, char** argv) {
       } else {
         opts.errors.push_back("--pin needs one of none|compact");
       }
-    } else if (const char* value = flag_value(argc, argv, &i, "--mem")) {
-      opts.mem_set = true;
-      if (const auto request = mem::parse_mem_request(value)) {
-        opts.mem = *request;
-      } else {
-        opts.errors.push_back("--mem needs one of auto|huge|thp|page");
-      }
     } else if (const char* value = flag_value(argc, argv, &i, "--scenario")) {
       opts.scenario_set = true;
       if (is_scenario_name(value)) {
@@ -116,11 +109,6 @@ void emulator_options::apply(sharded_config& config) const {
   }
   if (placement_set) {
     config.placement = placement;
-  }
-  if (mem_set) {
-    // Process-wide, not per-config: arenas are created when the driver
-    // builds its tables, after flags are applied.
-    mem::set_mem_request_override(mem);
   }
 }
 

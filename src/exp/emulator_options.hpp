@@ -1,8 +1,8 @@
 /// \file emulator_options.hpp
 /// \brief One emulator flag surface for every driver: the parsed
-/// `emulator_options` struct behind `--shards`, `--producers`, `--pin`,
-/// `--mem` and `--scenario`, consumed by the benches, the examples and
-/// the shard-sweep driver.  Parsing rules:
+/// `emulator_options` struct behind `--shards`, `--producers`, `--pin`
+/// and `--scenario`, consumed by the benches, the examples and the
+/// shard-sweep driver.  Parsing rules:
 ///
 ///  * unknown flags are *ignored* — every driver has its own extra
 ///    flags (`--json`, `--requests`, `--connections`, …) and parses
@@ -13,8 +13,9 @@
 ///  * `auto` values resolve against the discovered host topology at
 ///    parse time (`--shards auto`, `--producers auto`), the same
 ///    sizing the net server uses;
-///  * environment defaults (HDHASH_PIN, HDHASH_MEM) apply exactly when
-///    the flag is absent — a flag always wins over its env var.
+///  * the HDHASH_PIN default applies exactly when `--pin` is absent —
+///    the flag always wins over its env var.  The arena backing has no
+///    flag: HDHASH_MEM alone picks it (src/mem/arena_options.hpp).
 #pragma once
 
 #include <cstddef>
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "emu/sharded_emulator.hpp"
-#include "mem/arena_options.hpp"
 #include "runtime/placement_plan.hpp"
 
 namespace hdhash {
@@ -47,14 +47,6 @@ struct emulator_options {
   /// --pin none|compact; default per HDHASH_PIN.
   bool placement_set = false;
   runtime::placement_policy placement = runtime::default_placement_policy();
-
-  /// --mem auto|huge|thp|page: memory backing the hot-state arenas are
-  /// created under (src/mem/arena_options.hpp).  Wins over HDHASH_MEM;
-  /// apply() installs it as the process-wide request, so it must run
-  /// before the driver builds tables.  An unknown value lands in
-  /// `errors`.
-  bool mem_set = false;
-  mem::mem_request mem = mem::mem_request::automatic;
 
   /// --scenario <name>: a named production playbook
   /// (scenario/playbooks.hpp) the driver should compile its workload

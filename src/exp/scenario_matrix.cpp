@@ -7,6 +7,7 @@
 
 #include "emu/emulator.hpp"
 #include "hashing/splitmix_hash.hpp"
+#include "stats/chi_squared.hpp"
 #include "util/require.hpp"
 
 namespace hdhash {
@@ -29,17 +30,19 @@ double chi_over_dof(const std::vector<server_id>& assignment,
   for (const server_id server : assignment) {
     ++counts[server];
   }
+  // One bin per server, in the weight map's order.
   const double probes = static_cast<double>(assignment.size());
-  double chi = 0.0;
+  std::vector<std::uint64_t> observed;
+  std::vector<double> expected;
+  observed.reserve(weights.size());
+  expected.reserve(weights.size());
   for (const auto& [id, weight] : weights) {
-    const double expected = probes * weight / total_weight;
     const auto it = counts.find(id);
-    const double observed =
-        it == counts.end() ? 0.0 : static_cast<double>(it->second);
-    const double diff = observed - expected;
-    chi += diff * diff / expected;
+    observed.push_back(it == counts.end() ? 0 : it->second);
+    expected.push_back(probes * weight / total_weight);
   }
-  return chi / static_cast<double>(weights.size() - 1);
+  return chi_squared_statistic(observed, expected) /
+         static_cast<double>(weights.size() - 1);
 }
 
 /// One in-flight recovery measurement, anchored at a disruptive marker.

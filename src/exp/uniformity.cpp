@@ -73,14 +73,10 @@ std::vector<uniformity_point> run_uniformity(std::string_view algorithm,
 
         // Paper formula: E = |R| / |S| with |R| the total request count;
         // invalid answers therefore count against uniformity.
-        const double expected = static_cast<double>(config.requests) /
-                                static_cast<double>(servers);
-        double chi = 0.0;
-        for (const std::uint64_t c : counts) {
-          const double diff = static_cast<double>(c) - expected;
-          chi += diff * diff / expected;
-        }
-        sum_chi += chi;
+        const std::vector<double> expected(
+            servers, static_cast<double>(config.requests) /
+                         static_cast<double>(servers));
+        sum_chi += chi_squared_statistic(counts, expected);
         sum_invalid += static_cast<double>(invalid) /
                        static_cast<double>(config.requests);
       }
@@ -152,13 +148,16 @@ std::vector<weighted_uniformity_point> run_weighted_uniformity(
 
     weighted_uniformity_point point;
     point.servers = servers;
+    std::vector<double> expected(servers);
+    for (std::size_t i = 0; i < servers; ++i) {
+      expected[i] =
+          static_cast<double>(config.requests) * weights[i] / total_weight;
+    }
+    point.chi_squared = chi_squared_statistic(counts, expected);
     const double max_weight =
         *std::max_element(weights.begin(), weights.end());
     for (std::size_t i = 0; i < servers; ++i) {
-      const double expected = static_cast<double>(config.requests) *
-                              weights[i] / total_weight;
-      const double diff = static_cast<double>(counts[i]) - expected;
-      point.chi_squared += diff * diff / expected;
+      const double diff = static_cast<double>(counts[i]) - expected[i];
       point.max_share_error = std::max(
           point.max_share_error,
           std::abs(diff) / static_cast<double>(config.requests));

@@ -59,7 +59,7 @@ std::optional<mem_request> parse_mem_request(std::string_view name) {
 
 namespace {
 
-// The --mem override: one past-the-end sentinel value means "not set".
+// The program's override: a sentinel value means "not set".
 // A plain atomic int keeps select_mem_request() callable from any
 // thread without a lock.
 constexpr int kNoOverride = -1;

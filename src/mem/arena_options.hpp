@@ -1,6 +1,6 @@
 /// \file arena_options.hpp
 /// \brief Memory-backing selection for the hugepage arenas — the
-/// `HDHASH_MEM=auto|huge|thp|page` / `--mem` surface.
+/// `HDHASH_MEM=auto|huge|thp|page` surface.
 ///
 /// At d = 10,000 one batch lookup streams ~78KB of item-memory rows;
 /// with 4KB pages that is a TLB entry every three rows.  The arena
@@ -9,7 +9,7 @@
 /// runtime question: explicit hugepages need a reserved pool
 /// (`vm.nr_hugepages`), transparent hugepages can be disabled system-
 /// wide, and containers routinely mask both.  Following the
-/// `HDHASH_FORCE_KERNEL` convention, the request is an env/flag choice
+/// `HDHASH_FORCE_KERNEL` convention, the request is an env choice
 /// that degrades transparently in `auto` mode and fails loudly for
 /// explicit unsupported choices — asking for `huge` on a hugepage-less host must
 /// never silently hand back 4KB mappings.
@@ -36,7 +36,7 @@ enum class mem_backing : std::uint8_t {
   heap,  ///< no arena — rows on the default allocator (the baseline)
 };
 
-/// What the user asked for (`HDHASH_MEM` / `--mem`).
+/// What the user asked for (`HDHASH_MEM`).
 enum class mem_request : std::uint8_t {
   automatic,  ///< best available: huge, then thp, then page
   huge,       ///< explicit hugepages or fail loudly
@@ -54,19 +54,19 @@ std::string_view to_string(mem_request request) noexcept;
 /// decide whether to fail loudly or collect the error).
 std::optional<mem_request> parse_mem_request(std::string_view name);
 
-/// The backing request arenas are created under: the `--mem` override
-/// when one was installed, else `HDHASH_MEM`, else `auto`.  Throws
+/// The backing request arenas are created under: the program's
+/// override when one was installed, else `HDHASH_MEM`, else `auto`.  Throws
 /// hdhash::precondition_error for unknown env values — a typo must
 /// never silently degrade to auto (the HDHASH_FORCE_KERNEL convention).
 mem_request select_mem_request();
 
-/// Installs the `--mem` flag's choice, which wins over the environment
-/// for arenas created afterwards (already-created arenas keep the
-/// backing they landed on — drivers parse flags before building
+/// Installs a program's own backing choice, which wins over the
+/// environment for arenas created afterwards (already-created arenas
+/// keep the backing they landed on, so install it before building
 /// tables).
 void set_mem_request_override(mem_request request);
 
-/// Removes the `--mem` override (tests).
+/// Removes the override (tests).
 void clear_mem_request_override() noexcept;
 
 /// Injectable chunk-mapping backend.  `map` returns the mapped base

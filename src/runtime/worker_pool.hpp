@@ -10,10 +10,7 @@
 /// submitted jobs FIFO per worker.  Jobs addressed to different
 /// workers run concurrently; jobs addressed to the same worker are
 /// serialized on that worker's thread, which is what makes per-worker
-/// state (shard stats, scratch buffers, recycled batch memory)
-/// single-owner by construction — and, on NUMA machines, lets an init
-/// job *first-touch* that state on the worker's own node before the
-/// hot loop starts.
+/// state (shard stats, scratch buffers) single-owner by construction.
 ///
 /// Error contract: a throwing job does not kill its worker — the
 /// exception is captured, subsequent jobs still run (so channel-drain

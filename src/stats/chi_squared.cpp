@@ -1,9 +1,23 @@
 #include "stats/chi_squared.hpp"
 
+#include <vector>
+
 #include "stats/gamma.hpp"
 #include "util/require.hpp"
 
 namespace hdhash {
+
+double chi_squared_statistic(std::span<const std::uint64_t> observed,
+                             std::span<const double> expected) {
+  HDHASH_REQUIRE(observed.size() == expected.size(),
+                 "need one expectation per bin");
+  double statistic = 0.0;
+  for (std::size_t i = 0; i < observed.size(); ++i) {
+    const double diff = static_cast<double>(observed[i]) - expected[i];
+    statistic += diff * diff / expected[i];
+  }
+  return statistic;
+}
 
 double chi_squared_statistic_uniform(std::span<const std::uint64_t> counts) {
   HDHASH_REQUIRE(!counts.empty(), "need at least one bin");
@@ -12,14 +26,10 @@ double chi_squared_statistic_uniform(std::span<const std::uint64_t> counts) {
     total += c;
   }
   HDHASH_REQUIRE(total > 0, "need at least one observation");
-  const double expected =
-      static_cast<double>(total) / static_cast<double>(counts.size());
-  double statistic = 0.0;
-  for (const std::uint64_t c : counts) {
-    const double diff = static_cast<double>(c) - expected;
-    statistic += diff * diff / expected;
-  }
-  return statistic;
+  const std::vector<double> expected(
+      counts.size(),
+      static_cast<double>(total) / static_cast<double>(counts.size()));
+  return chi_squared_statistic(counts, expected);
 }
 
 double chi_squared_survival(double x, double k) {

@@ -28,13 +28,6 @@ void weighted_rendezvous_table::join(server_id server, double weight) {
   entries_.push_back(entry{server, weight});
 }
 
-void weighted_rendezvous_table::set_weight(server_id server, double weight) {
-  HDHASH_REQUIRE(weight > 0.0, "weight must be positive");
-  const std::size_t index = find_index(server);
-  HDHASH_REQUIRE(index != entries_.size(), "server not in the pool");
-  entries_[index].weight = weight;
-}
-
 double weighted_rendezvous_table::weight(server_id server) const {
   const std::size_t index = find_index(server);
   HDHASH_REQUIRE(index != entries_.size(), "server not in the pool");

@@ -26,19 +26,8 @@ class weighted_rendezvous_table final : public dynamic_table {
   /// proportional to the weight.  \pre weight > 0, server not present.
   void join(server_id server, double weight = 1.0) override;
 
-  /// Back-compat alias for the v1 API.  \pre weight > 0, server absent.
-  void join_weighted(server_id server, double weight) {
-    join(server, weight);
-  }
-
-  /// Updates a member's weight.  \pre server present, weight > 0.
-  void set_weight(server_id server, double weight);
-
   /// The member's weight.  \pre server present.
   double weight(server_id server) const override;
-
-  /// Back-compat alias for the v1 API.  \pre server present.
-  double weight_of(server_id server) const { return weight(server); }
 
   void leave(server_id server) override;
   server_id lookup(request_id request) const override;

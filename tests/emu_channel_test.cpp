@@ -1,11 +1,13 @@
 /// Channel conformance and torture suite: every contract of the
-/// lock-free spsc_ring (emu/spsc_ring.hpp), plus the M-producer ×
-/// N-shard ingest mesh and the standalone buffer_pool.
+/// lock-free spsc_ring (emu/spsc_ring.hpp), its slot recycling, and the
+/// M-producer × N-shard ingest mesh.
 ///
 /// The threaded tests here are the TSan targets for the ingest layer
 /// (ctest -L channel): SPSC wraparound under concurrent push/pop,
 /// close-while-full (the PR-7 deadlock regression), close-while-empty,
-/// cross-producer mesh interleavings, and pool recycling reuse.
+/// and cross-producer mesh interleavings.  Consumers that block do so
+/// in `shard_consumer::pop`, on a 1×1 mesh where one ring is meant —
+/// the wait the stream router's decode loops use.
 #include "emu/spsc_ring.hpp"
 
 #include <gtest/gtest.h>
@@ -17,12 +19,17 @@
 #include <thread>
 #include <vector>
 
-#include "emu/buffer_pool.hpp"
 #include "emu/ingest.hpp"
 #include "util/require.hpp"
 
 namespace hdhash {
 namespace {
+
+/// Blocking push of a value whose recycled slot the test does not need.
+template <typename T>
+void push_value(spsc_ring<T>& ring, T value) {
+  ring.push(value);
+}
 
 // ---------------------------------------------------------------------
 // Conformance: the channel contract every ingest pipeline relies on.
@@ -30,7 +37,7 @@ namespace {
 TEST(ChannelConformanceTest, FifoOrder) {
   spsc_ring<int> channel(8);
   for (int i = 0; i < 8; ++i) {
-    channel.push(int{i});
+    push_value(channel, i);
   }
   int out = -1;
   for (int i = 0; i < 8; ++i) {
@@ -58,11 +65,11 @@ TEST(ChannelConformanceTest, SingleThreadedWraparound) {
   spsc_ring<std::uint64_t> channel(2);
   std::uint64_t out = 0;
   for (std::uint64_t round = 0; round < 1000; ++round) {
-    channel.push(round * 2);
-    channel.push(round * 2 + 1);
-    ASSERT_TRUE(channel.pop(out));
+    push_value(channel, round * 2);
+    push_value(channel, round * 2 + 1);
+    ASSERT_EQ(channel.try_pop(out), pop_status::ok);
     EXPECT_EQ(out, round * 2);
-    ASSERT_TRUE(channel.pop(out));
+    ASSERT_EQ(channel.try_pop(out), pop_status::ok);
     EXPECT_EQ(out, round * 2 + 1);
   }
   EXPECT_EQ(channel.try_pop(out), pop_status::empty);
@@ -70,40 +77,40 @@ TEST(ChannelConformanceTest, SingleThreadedWraparound) {
 
 TEST(ChannelConformanceTest, PushAfterCloseThrowsLoudly) {
   spsc_ring<int> channel(4);
-  channel.push(1);
+  push_value(channel, 1);
   channel.close();
   EXPECT_TRUE(channel.closed());
-  EXPECT_THROW(channel.push(2), channel_closed);
+  EXPECT_THROW(push_value(channel, 2), channel_closed);
   int item = 3;
   EXPECT_EQ(channel.try_push(item), push_status::closed);
 }
 
 TEST(ChannelConformanceTest, PopDrainsThenReportsClosed) {
   spsc_ring<int> channel(4);
-  channel.push(7);
-  channel.push(8);
+  push_value(channel, 7);
+  push_value(channel, 8);
   channel.close();
   int out = -1;
-  EXPECT_EQ(channel.try_pop(out), pop_status::ok);
+  ASSERT_EQ(channel.try_pop(out), pop_status::ok);  // close still drains
   EXPECT_EQ(out, 7);
-  ASSERT_TRUE(channel.pop(out));  // blocking pop still drains
+  ASSERT_EQ(channel.try_pop(out), pop_status::ok);
   EXPECT_EQ(out, 8);
   EXPECT_EQ(channel.try_pop(out), pop_status::closed);
-  EXPECT_FALSE(channel.pop(out));
+  EXPECT_EQ(channel.try_pop(out), pop_status::closed);  // for good
 }
 
 TEST(ChannelConformanceTest, CloseWhileEmptyWakesBlockedPop) {
-  spsc_ring<int> channel(4);
+  ingest_mesh<int> mesh(1, 1, 4);
   std::atomic<bool> popped{false};
   std::thread consumer([&] {
     int out = -1;
-    const bool got = channel.pop(out);  // blocks: channel is empty
+    const bool got = mesh.consumer(0).pop(out);  // blocks: lane is empty
     EXPECT_FALSE(got);
     popped.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(popped.load());
-  channel.close();
+  mesh.lane(0, 0).close();
   consumer.join();
   EXPECT_TRUE(popped.load());
 }
@@ -116,12 +123,12 @@ TEST(ChannelConformanceTest, CloseWhileFullWakesBlockedPush) {
   spsc_ring<int> channel(1);
   const std::size_t capacity = channel.capacity();
   for (std::size_t i = 0; i < capacity; ++i) {
-    channel.push(static_cast<int>(i));  // fill to the brim
+    push_value(channel, static_cast<int>(i));  // fill to the brim
   }
   std::atomic<bool> threw{false};
   std::thread producer([&] {
     try {
-      channel.push(999);  // blocks: channel is full
+      push_value(channel, 999);  // blocks: channel is full
       ADD_FAILURE() << "push into a closed channel returned";
     } catch (const channel_closed&) {
       threw.store(true);
@@ -139,17 +146,19 @@ TEST(ChannelConformanceTest, SpscTortureKeepsOrderAndLosesNothing) {
   // wrap the cursors thousands of times.  FIFO means the consumer must
   // see exactly 0,1,2,...,N-1.
   constexpr std::uint64_t kItems = 200'000;
-  spsc_ring<std::uint64_t> under_test(4);
+  ingest_mesh<std::uint64_t> mesh(1, 1, 4);
+  spsc_ring<std::uint64_t>& under_test = mesh.lane(0, 0);
 
   std::thread producer([&] {
     for (std::uint64_t i = 0; i < kItems; ++i) {
-      under_test.push(std::uint64_t{i});
+      push_value(under_test, i);
     }
     under_test.close();
   });
+  shard_consumer<std::uint64_t> consumer = mesh.consumer(0);
   std::uint64_t expected = 0;
   std::uint64_t out = 0;
-  while (under_test.pop(out)) {
+  while (consumer.pop(out)) {
     ASSERT_EQ(out, expected);
     ++expected;
   }
@@ -175,11 +184,38 @@ TEST(SpscRingTest, ZeroCapacityThrows) {
 TEST(SpscRingTest, MovesItemsThrough) {
   // Move-only payloads prove the ring never copies.
   spsc_ring<std::unique_ptr<int>> ring(2);
-  ring.push(std::make_unique<int>(42));
+  push_value(ring, std::make_unique<int>(42));
   std::unique_ptr<int> out;
-  ASSERT_TRUE(ring.pop(out));
+  ASSERT_EQ(ring.try_pop(out), pop_status::ok);
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(*out, 42);
+}
+
+TEST(SpscRingTest, PushHandsBackTheBufferAPopDrained) {
+  // Each pop leaves the consumer's previous buffer in the slot it
+  // empties, and the push that next fills that slot hands it to the
+  // producer: a buffer comes back one lap after the consumer popped and
+  // cleared it, allocation and all.
+  spsc_ring<std::vector<int>> ring(2);
+  const std::size_t lap = ring.capacity();
+  constexpr std::size_t kSize = 64;
+  std::vector<const int*> pushed;
+  std::vector<int> batch;
+  std::vector<int> drained;
+  for (std::size_t round = 0; round < 4 * (lap + 1); ++round) {
+    batch.assign(kSize, static_cast<int>(round));
+    pushed.push_back(batch.data());
+    ASSERT_EQ(ring.try_push(batch), push_status::ok);
+    if (round > lap) {
+      EXPECT_EQ(batch.data(), pushed[round - lap - 1]) << "round " << round;
+      EXPECT_GE(batch.capacity(), kSize);
+      EXPECT_TRUE(batch.empty());
+    }
+    ASSERT_EQ(ring.try_pop(drained), pop_status::ok);
+    EXPECT_EQ(drained.data(), pushed[round]);
+    EXPECT_EQ(drained.front(), static_cast<int>(round));
+    drained.clear();
+  }
 }
 
 TEST(SpscRingTest, ItemPushedBeforeCloseIsNeverDropped) {
@@ -187,79 +223,20 @@ TEST(SpscRingTest, ItemPushedBeforeCloseIsNeverDropped) {
   // emptiness after observing the closed flag, or an item published
   // between the two loads is silently lost.
   for (int round = 0; round < 200; ++round) {
-    spsc_ring<int> ring(4);
+    ingest_mesh<int> mesh(1, 1, 4);
     std::thread producer([&] {
-      ring.push(1);
-      ring.close();
+      push_value(mesh.lane(0, 0), 1);
+      mesh.close_row(0);
     });
+    shard_consumer<int> consumer = mesh.consumer(0);
     int out = 0;
     int got = 0;
-    while (ring.pop(out)) {
+    while (consumer.pop(out)) {
       ++got;
     }
     producer.join();
     EXPECT_EQ(got, 1);
   }
-}
-
-// ---------------------------------------------------------------------
-// buffer_pool: the recycling round-trip, standalone.
-
-TEST(BufferPoolTest, TakeFromEmptyPoolFails) {
-  buffer_pool<std::vector<int>> pool;
-  std::vector<int> buffer;
-  EXPECT_EQ(pool.size(), 0u);
-  EXPECT_FALSE(pool.take(buffer));
-}
-
-TEST(BufferPoolTest, RecycledBufferKeepsItsAllocation) {
-  buffer_pool<std::vector<int>> pool;
-  std::vector<int> buffer;
-  buffer.reserve(1024);
-  const int* storage = buffer.data();
-  pool.recycle(std::move(buffer));
-  EXPECT_EQ(pool.size(), 1u);
-
-  std::vector<int> reused;
-  ASSERT_TRUE(pool.take(reused));
-  EXPECT_EQ(reused.data(), storage);  // same allocation came back
-  EXPECT_EQ(reused.capacity(), 1024u);
-  EXPECT_EQ(pool.size(), 0u);
-}
-
-TEST(BufferPoolTest, RecycleFromAnotherThreadIsImmediatelyTakeable) {
-  buffer_pool<std::vector<int>> pool;
-  std::thread consumer([&] { pool.recycle(std::vector<int>(8, 3)); });
-  consumer.join();
-  std::vector<int> batch;
-  ASSERT_TRUE(pool.take(batch));
-  EXPECT_EQ(batch.size(), 8u);
-}
-
-TEST(BufferPoolTest, LifoReuseUnderManyThreads) {
-  buffer_pool<std::vector<int>> pool;
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 5'000;
-  std::vector<std::thread> threads;
-  std::atomic<int> takes{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kRounds; ++i) {
-        std::vector<int> buffer;
-        if (pool.take(buffer)) {
-          takes.fetch_add(1, std::memory_order_relaxed);
-        }
-        buffer.clear();
-        pool.recycle(std::move(buffer));
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  // Every recycle stays in the pool, so at most kThreads buffers exist.
-  EXPECT_LE(pool.size(), static_cast<std::size_t>(kThreads));
-  EXPECT_GT(takes.load(), 0);
 }
 
 // ---------------------------------------------------------------------
@@ -274,7 +251,7 @@ TEST(IngestMeshTest, LaneIndexingIsProducerMajor) {
   ingest_mesh<int> mesh(2, 3, 4);
   EXPECT_EQ(mesh.producers(), 2u);
   EXPECT_EQ(mesh.shards(), 3u);
-  mesh.lane(1, 2).push(42);
+  push_value(mesh.lane(1, 2), 42);
   int out = 0;
   EXPECT_EQ(mesh.lane(1, 2).try_pop(out), pop_status::ok);
   EXPECT_EQ(out, 42);
@@ -285,14 +262,14 @@ TEST(IngestMeshTest, ConsumerClosesOnlyWhenAllLanesClose) {
   ingest_mesh<int> mesh(2, 1, 4);
   auto consumer = mesh.consumer(0);
 
-  mesh.lane(0, 0).push(10);
+  push_value(mesh.lane(0, 0), 10);
   mesh.close_row(0);
   int out = 0;
   ASSERT_EQ(consumer.try_pop(out), pop_status::ok);
   EXPECT_EQ(out, 10);
   // One producer still open: the column reads empty, not closed.
   EXPECT_EQ(consumer.try_pop(out), pop_status::empty);
-  mesh.lane(1, 0).push(11);
+  push_value(mesh.lane(1, 0), 11);
   mesh.close_row(1);
   ASSERT_EQ(consumer.try_pop(out), pop_status::ok);
   EXPECT_EQ(out, 11);
@@ -304,9 +281,9 @@ TEST(IngestMeshTest, RoundRobinScanDoesNotStarveLanes) {
   // through within a bounded number of pops.
   ingest_mesh<tagged_item> mesh(2, 1, 4);
   auto consumer = mesh.consumer(0);
-  mesh.lane(0, 0).push({0, 0});
-  mesh.lane(0, 0).push({0, 1});
-  mesh.lane(1, 0).push({1, 0});
+  push_value(mesh.lane(0, 0), tagged_item{0, 0});
+  push_value(mesh.lane(0, 0), tagged_item{0, 1});
+  push_value(mesh.lane(1, 0), tagged_item{1, 0});
 
   bool saw_producer1 = false;
   tagged_item out;
@@ -355,7 +332,7 @@ TEST(IngestMeshTortureTest, MxNMeshDeliversEverythingInPerProducerOrder) {
   for (std::size_t p = 0; p < kProducers; ++p) {
     threads.emplace_back([&mesh, p] {
       for (std::uint64_t i = 0; i < kItems; ++i) {
-        mesh.lane(p, i % kShards).push({p, i});
+        push_value(mesh.lane(p, i % kShards), tagged_item{p, i});
       }
       mesh.close_row(p);
     });
@@ -378,7 +355,7 @@ TEST(IngestMeshTortureTest, MeshCloseUnblocksStalledProducers) {
     producers.emplace_back([&mesh, &threw, p] {
       try {
         for (int i = 0;; ++i) {
-          mesh.lane(p, 0).push(int{i});  // fills the lane, then blocks
+          push_value(mesh.lane(p, 0), i);  // fills the lane, then blocks
         }
       } catch (const channel_closed&) {
         threw.fetch_add(1);

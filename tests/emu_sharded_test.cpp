@@ -1,7 +1,10 @@
 /// Sharded, double-buffered emulator: determinism against the
 /// single-table reference, merge() accounting, shadow mirroring and
-/// degenerate configurations.  These tests exercise real worker threads
-/// and are the primary TSan target (-DHDHASH_SANITIZE=thread).
+/// degenerate configurations, plus the stream router beneath it.  These
+/// tests exercise real worker threads and are the primary TSan target
+/// (-DHDHASH_SANITIZE=thread).  The binary counts heap allocations
+/// (support/counting_allocator.hpp) so that a warm router can be shown
+/// to allocate nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +19,7 @@
 #include "emu/stream_router.hpp"
 #include "exp/factory.hpp"
 #include "exp/sharded.hpp"
+#include "support/counting_allocator.hpp"
 #include "util/require.hpp"
 
 namespace hdhash {
@@ -502,6 +506,65 @@ TEST(StreamRouterTest, StopReturnsOnlyAfterEveryTicketCompleted) {
   }
   router.stop();
   EXPECT_EQ(completed.load(std::memory_order_acquire), kTickets);
+}
+
+TEST(StreamRouterTest, WarmSessionRoutesWithoutAllocating) {
+  // Each lane circulates a fixed set of batches: its slots, the
+  // session's open batch and the decode loop's.  Once each has been
+  // filled, a flush's push hands back a drained batch with its capacity,
+  // open_segment() refills it, and the decode loop answers from a warm
+  // slot cache into buffers it already sized: nothing touches the heap,
+  // on either side of the ring, up to and including stop().
+  runtime::worker_pool pool(2, runtime::placement_policy::none);
+  stream_router::config config;
+  config.shards = 2;
+  table_options options = fast_options();
+  options.hd.slot_cache = true;
+  stream_router router(make_table("hd-hierarchical", options), pool, 0,
+                       config);
+  for (server_id s = 1; s <= 16; ++s) {
+    router.join(s);
+  }
+  router.start();
+  stream_router::session session = router.open_session(0);
+  const std::shared_ptr<const table_snapshot> snap = router.current();
+
+  // One batch of requests per shard, routed again every round.
+  constexpr std::size_t kBatch = 64;
+  std::vector<std::vector<request_id>> batches(config.shards);
+  for (request_id r = 1; batches[0].size() < kBatch ||
+                         batches[1].size() < kBatch;
+       ++r) {
+    std::vector<request_id>& batch = batches[router.shard_of(r)];
+    if (batch.size() < kBatch) {
+      batch.push_back(r);
+    }
+  }
+  auto route = [&](std::size_t rounds) {
+    for (std::size_t round = 0; round < rounds; ++round) {
+      for (std::size_t s = 0; s < config.shards; ++s) {
+        std::vector<request_id>& requests =
+            session.open_segment(s, snap).requests;
+        requests.insert(requests.end(), batches[s].begin(), batches[s].end());
+        session.flush(s);
+      }
+    }
+  };
+  // Warm-up: a lane's channel_depth + 2 batches are all filled within
+  // two laps, and by the last warm-up push at most channel_depth + 1
+  // batches are undecoded, so the first decode, which sizes the answer
+  // buffer and the load histogram, is long done.
+  const std::size_t warm_rounds = 4 * (config.channel_depth + 2);
+  constexpr std::size_t kRounds = 64;
+  route(warm_rounds);
+  const std::size_t before = testing::g_allocations.load();
+  route(kRounds);
+  router.stop();
+  EXPECT_EQ(testing::g_allocations.load() - before, 0u);
+  for (std::size_t s = 0; s < config.shards; ++s) {
+    EXPECT_EQ(router.shard_stats(s).requests,
+              (warm_rounds + kRounds) * kBatch);
+  }
 }
 
 TEST(RunStatsMergeTest, SumsCountersAndLoadHistograms) {

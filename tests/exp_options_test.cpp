@@ -74,26 +74,6 @@ TEST(EmulatorOptionsTest, AutoValuesResolveAgainstTopology) {
             runtime::plan_io_shard_split(runtime::host_topology()).io_threads);
 }
 
-TEST(EmulatorOptionsTest, ParsesMemBacking) {
-  const emulator_options opts = parse({"--mem=page"});
-  EXPECT_TRUE(opts.ok());
-  EXPECT_TRUE(opts.mem_set);
-  EXPECT_EQ(opts.mem, mem::mem_request::page);
-  // apply() installs the request process-wide (wins over HDHASH_MEM).
-  sharded_config config;
-  opts.apply(config);
-  EXPECT_EQ(mem::select_mem_request(), mem::mem_request::page);
-  mem::clear_mem_request_override();
-
-  const emulator_options bad = parse({"--mem=hugepages"});
-  EXPECT_FALSE(bad.ok());
-  ASSERT_EQ(bad.errors.size(), 1u);
-  EXPECT_NE(bad.errors[0].find("--mem"), std::string::npos);
-
-  const emulator_options absent = parse({});
-  EXPECT_FALSE(absent.mem_set);
-}
-
 TEST(EmulatorOptionsTest, UnknownFlagsAreIgnored) {
   const emulator_options opts =
       parse({"--json=out.json", "--requests=100", "--shards=4"});
@@ -103,7 +83,7 @@ TEST(EmulatorOptionsTest, UnknownFlagsAreIgnored) {
 
 TEST(EmulatorOptionsTest, CollectsEveryMalformedFlag) {
   const emulator_options opts =
-      parse({"--shards=zero", "--pin=everywhere", "--mem=hugepages"});
+      parse({"--shards=zero", "--pin=everywhere", "--scenario=nowhere"});
   EXPECT_FALSE(opts.ok());
   EXPECT_EQ(opts.errors.size(), 3u);
 }

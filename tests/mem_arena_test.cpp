@@ -139,7 +139,7 @@ TEST(ArenaOptionsTest, RequestParsingAndPrecedence) {
 
   ::setenv("HDHASH_MEM", "page", 1);
   EXPECT_EQ(mem::select_mem_request(), mem::mem_request::page);
-  // The --mem override wins over the environment.
+  // A program's override wins over the environment.
   mem::set_mem_request_override(mem::mem_request::thp);
   EXPECT_EQ(mem::select_mem_request(), mem::mem_request::thp);
   mem::clear_mem_request_override();

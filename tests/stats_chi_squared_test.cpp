@@ -38,6 +38,18 @@ TEST(ChiSquaredStatisticTest, EmptyOrZeroTotalThrows) {
   EXPECT_THROW(chi_squared_statistic_uniform(zeros), precondition_error);
 }
 
+TEST(ChiSquaredStatisticTest, PerBinExpectation) {
+  // A 1 : 3 weighted pool over 40 requests: E = {10, 30}; observed
+  // {20, 20} gives chi2 = 100/10 + 100/30.
+  const std::vector<std::uint64_t> observed{20, 20};
+  const std::vector<double> expected{10.0, 30.0};
+  EXPECT_DOUBLE_EQ(chi_squared_statistic(observed, expected),
+                   100.0 / 10.0 + 100.0 / 30.0);
+  const std::vector<double> short_expected{10.0};
+  EXPECT_THROW(chi_squared_statistic(observed, short_expected),
+               precondition_error);
+}
+
 TEST(ChiSquaredSurvivalTest, MatchesCriticalValueTables) {
   // Standard critical values at alpha = 0.05.
   EXPECT_NEAR(chi_squared_survival(3.841, 1), 0.05, 1e-3);

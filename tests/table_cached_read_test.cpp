@@ -1,12 +1,9 @@
 /// Cached reads allocate nothing: once a slot-cached table (or the
 /// snapshot published from it) is warm, lookup_batch answers every
 /// request from the slot cache without touching the heap.  This binary
-/// replaces the global operator new/delete with counting versions, so
-/// any allocation on that path — a dedup map, a temporary vector, a
-/// scatter buffer — fails the test.
-#include <algorithm>
-#include <atomic>
-#include <cstdlib>
+/// replaces the global operator new/delete with counting versions
+/// (support/counting_allocator.hpp), so any allocation on that path — a
+/// dedup map, a temporary vector, a scatter buffer — fails the test.
 #include <new>
 #include <string>
 #include <vector>
@@ -16,92 +13,13 @@
 #include "core/hd_table.hpp"
 #include "exp/factory.hpp"
 #include "hashing/splitmix_hash.hpp"
+#include "support/counting_allocator.hpp"
 #include "util/rng.hpp"
-
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* counted_alloc(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  const auto alignment = std::max(static_cast<std::size_t>(align),
-                                  sizeof(void*));
-  if (posix_memalign(&p, alignment, size == 0 ? 1 : size) == 0) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-// Every replaceable form, so that no allocation escapes the count and
-// every block is freed by the allocator that made it (a sanitizer
-// runtime brings its own forms and would otherwise pair them with ours).
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, align);
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, align);
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  try {
-    return counted_alloc(size);
-  } catch (const std::bad_alloc&) {
-    return nullptr;
-  }
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return operator new(size, tag);
-}
-void* operator new(std::size_t size, std::align_val_t align,
-                   const std::nothrow_t&) noexcept {
-  try {
-    return counted_alloc(size, align);
-  } catch (const std::bad_alloc&) {
-    return nullptr;
-  }
-}
-void* operator new[](std::size_t size, std::align_val_t align,
-                     const std::nothrow_t& tag) noexcept {
-  return operator new(size, align, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace hdhash {
 namespace {
+
+using testing::g_allocations;
 
 std::vector<request_id> request_block(std::size_t count) {
   std::vector<request_id> block;

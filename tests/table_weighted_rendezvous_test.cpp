@@ -13,21 +13,16 @@ namespace {
 
 TEST(WeightedRendezvousTest, RejectsInvalidWeights) {
   weighted_rendezvous_table table(default_hash());
-  EXPECT_THROW(table.join_weighted(1, 0.0), precondition_error);
-  EXPECT_THROW(table.join_weighted(1, -2.0), precondition_error);
-  table.join_weighted(1, 1.0);
-  EXPECT_THROW(table.set_weight(1, 0.0), precondition_error);
-  EXPECT_THROW(table.set_weight(99, 1.0), precondition_error);
+  EXPECT_THROW(table.join(1, 0.0), precondition_error);
+  EXPECT_THROW(table.join(1, -2.0), precondition_error);
 }
 
 TEST(WeightedRendezvousTest, WeightAccessors) {
   weighted_rendezvous_table table(default_hash());
-  table.join_weighted(5, 2.5);
+  table.join(5, 2.5);
   table.join(6);  // default weight 1
-  EXPECT_DOUBLE_EQ(table.weight_of(5), 2.5);
-  EXPECT_DOUBLE_EQ(table.weight_of(6), 1.0);
-  table.set_weight(5, 4.0);
-  EXPECT_DOUBLE_EQ(table.weight_of(5), 4.0);
+  EXPECT_DOUBLE_EQ(table.weight(5), 2.5);
+  EXPECT_DOUBLE_EQ(table.weight(6), 1.0);
 }
 
 TEST(WeightedRendezvousTest, EqualWeightsSpreadUniformly) {
@@ -50,9 +45,9 @@ TEST(WeightedRendezvousTest, EqualWeightsSpreadUniformly) {
 TEST(WeightedRendezvousTest, SharesProportionalToWeights) {
   // Server weights 1 : 2 : 3 should carry 1/6, 2/6, 3/6 of the traffic.
   weighted_rendezvous_table table(default_hash());
-  table.join_weighted(101, 1.0);
-  table.join_weighted(102, 2.0);
-  table.join_weighted(103, 3.0);
+  table.join(101, 1.0);
+  table.join(102, 2.0);
+  table.join(103, 3.0);
   std::map<server_id, std::size_t> counts;
   constexpr std::size_t kRequests = 60'000;
   for (request_id r = 0; r < kRequests; ++r) {
@@ -69,7 +64,7 @@ TEST(WeightedRendezvousTest, SharesProportionalToWeights) {
 TEST(WeightedRendezvousTest, LeaveOnlyMovesDepartedServersKeys) {
   weighted_rendezvous_table table(default_hash());
   for (server_id s = 1; s <= 10; ++s) {
-    table.join_weighted(s * 31, 0.5 + static_cast<double>(s % 3));
+    table.join(s * 31, 0.5 + static_cast<double>(s % 3));
   }
   std::vector<server_id> before;
   for (request_id r = 0; r < 3000; ++r) {
@@ -86,7 +81,9 @@ TEST(WeightedRendezvousTest, LeaveOnlyMovesDepartedServersKeys) {
 }
 
 TEST(WeightedRendezvousTest, WeightIncreaseOnlyAttractsKeys) {
-  // Raising one server's weight must only move requests *to* it.
+  // Raising one server's weight must only move requests *to* it.  A
+  // weight change is a leave and a re-join at the new weight, the path
+  // scenario weight changes take.
   weighted_rendezvous_table table(default_hash());
   for (server_id s = 1; s <= 10; ++s) {
     table.join(s * 83);
@@ -95,7 +92,8 @@ TEST(WeightedRendezvousTest, WeightIncreaseOnlyAttractsKeys) {
   for (request_id r = 0; r < 3000; ++r) {
     before.push_back(table.lookup(r));
   }
-  table.set_weight(5 * 83, 3.0);
+  table.leave(5 * 83);
+  table.join(5 * 83, 3.0);
   for (request_id r = 0; r < 3000; ++r) {
     const server_id now = table.lookup(r);
     if (now != before[r]) {
@@ -120,12 +118,12 @@ TEST(WeightedRendezvousTest, UnitWeightsAgreeWithScoringInvariance) {
 
 TEST(WeightedRendezvousTest, CloneCarriesWeights) {
   weighted_rendezvous_table table(default_hash());
-  table.join_weighted(1, 2.0);
+  table.join(1, 2.0);
   const auto copy = table.clone();
   auto* weighted_copy =
       dynamic_cast<weighted_rendezvous_table*>(copy.get());
   ASSERT_NE(weighted_copy, nullptr);
-  EXPECT_DOUBLE_EQ(weighted_copy->weight_of(1), 2.0);
+  EXPECT_DOUBLE_EQ(weighted_copy->weight(1), 2.0);
 }
 
 TEST(WeightedRendezvousTest, FaultSurfaceCoversIdsAndWeights) {
